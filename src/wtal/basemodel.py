@@ -5,7 +5,7 @@ activation map (forward and exact backward).
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -123,9 +123,10 @@ def backward(model, fp, d_attention=None, d_prediction=None, d_tcam=None):
 
     if d_prediction is not None:
         d_logits = numkit.softmax_backward(fp.video_prediction, d_prediction)
-        grads["cls_w"] += np.outer(fp.foreground_feature, d_logits)
-        grads["cls_b"] += d_logits
-        d_fg = model.params["cls_w"] @ d_logits
+        d_fg, d_w, d_b = numkit.fc_backward(fp.foreground_feature,
+                                            model.params["cls_w"], d_logits)
+        grads["cls_w"] += d_w
+        grads["cls_b"] += d_b
         # attention-weighted pooling: quotient rule through sum(attention)
         att_sum = attention.sum()
         d_att += (embedded - fp.foreground_feature) @ d_fg / att_sum
@@ -133,9 +134,11 @@ def backward(model, fp, d_attention=None, d_prediction=None, d_tcam=None):
 
     if d_tcam is not None:
         d_rows = numkit.softmax_backward(fp.tcam, d_tcam)
-        grads["cls_w"] += embedded.T @ d_rows
-        grads["cls_b"] += d_rows.sum(axis=0)
-        d_embedded += d_rows @ model.params["cls_w"].T
+        d_emb, d_w, d_b = numkit.fc_backward(embedded, model.params["cls_w"],
+                                             d_rows)
+        grads["cls_w"] += d_w
+        grads["cls_b"] += d_b
+        d_embedded += d_emb
 
     d_att_logit = numkit.sigmoid_backward(attention, d_att)
     grads["att_w"] += embedded.T @ d_att_logit
@@ -159,13 +162,7 @@ def save_checkpoint(path, model, meta=None):
     header = {
         "format": CHECKPOINT_MAGIC,
         "modality": model.modality,
-        "config": {
-            "feature_dim": model.config.feature_dim,
-            "num_classes": model.config.num_classes,
-            "embed_dim": model.config.embed_dim,
-            "conv_layers": model.config.conv_layers,
-            "kernel_size": model.config.kernel_size,
-        },
+        "config": asdict(model.config),
         "params": [{"name": k, "shape": list(np.shape(v))}
                    for k, v in sorted(model.params.items())],
         "meta": meta or {},

@@ -13,7 +13,8 @@ import sys
 
 from . import basemodel, evaluation, localization, pipeline, synthdata
 from .basemodel import ModelConfig
-from .consensus import NumericError, RefinementConfig, run_refinement
+from .consensus import (STREAMS, NumericError, RefinementConfig,
+                        load_pseudo_gt, run_refinement, save_pseudo_gt)
 from .localization import LocalizationConfig
 from .losses import LossConfig
 from .synthdata import DataError, GeneratorConfig
@@ -46,12 +47,16 @@ class RunConfig:
         default_factory=lambda: {"thresholds": DEFAULT_THRESHOLDS})
 
 
-def _check_section(name, values, config_cls):
-    known = {f.name for f in dataclasses.fields(config_cls)}
-    for key in values:
-        if key not in known:
-            raise DataError(f"config section {name!r}: unknown field "
-                            f"{key!r} (expected one of {sorted(known)})")
+SECTIONS = {"generator": GeneratorConfig, "model": ModelConfig,
+            "loss": LossConfig, "refinement": RefinementConfig,
+            "localization": LocalizationConfig}
+
+
+def _settable(config_cls):
+    """{field name: default} of the fields a config section may set; a
+    field without a default (the model's shape) comes from the dataset."""
+    return {f.name: f.default for f in dataclasses.fields(config_cls)
+            if f.default is not dataclasses.MISSING}
 
 
 def load_run_config(path=None, overrides=None):
@@ -74,32 +79,32 @@ def load_run_config(path=None, overrides=None):
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, key, value)
-    _check_section("generator", cfg.generator, GeneratorConfig)
-    _check_section("loss", cfg.loss, LossConfig)
-    _check_section("refinement", cfg.refinement, RefinementConfig)
-    _check_section("localization", cfg.localization, LocalizationConfig)
+    for name, cls in SECTIONS.items():
+        known = _settable(cls)
+        for key in getattr(cfg, name):
+            if key not in known:
+                raise DataError(f"config section {name!r}: unknown field "
+                                f"{key!r} (expected one of {sorted(known)})")
     return cfg
 
 
 def resolved_config(cfg, dataset):
-    model_cfg = ModelConfig(feature_dim=dataset.feature_dim,
-                            num_classes=dataset.num_classes, **cfg.model)
-    return (model_cfg,
-            LossConfig(**cfg.loss),
-            RefinementConfig(**cfg.refinement),
-            LocalizationConfig(**cfg.localization))
+    """{section name: config object} for every section in SECTIONS."""
+    sections = {}
+    for name, cls in SECTIONS.items():
+        values = dict(getattr(cfg, name))
+        if name == "model":
+            values.update(feature_dim=dataset.feature_dim,
+                          num_classes=dataset.num_classes)
+        sections[name] = cls(**values)
+    return sections
 
 
 def write_resolved_config(cfg, path):
     payload = dataclasses.asdict(cfg)
     # fill in effective section defaults so the emitted file is complete
-    for name, cls in (("generator", GeneratorConfig), ("loss", LossConfig),
-                      ("refinement", RefinementConfig),
-                      ("localization", LocalizationConfig)):
-        merged = {f.name: f.default for f in dataclasses.fields(cls)
-                  if f.default is not dataclasses.MISSING}
-        merged.update(payload[name])
-        payload[name] = merged
+    for name, cls in SECTIONS.items():
+        payload[name] = {**_settable(cls), **payload[name]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -149,12 +154,13 @@ def cmd_train(args):
                                         "output_dir": args.out,
                                         "seed": args.seed})
     dataset = synthdata.load(cfg.dataset)
-    model_cfg, loss_cfg, refine_cfg, _ = resolved_config(cfg, dataset)
+    sections = resolved_config(cfg, dataset)
+    refine_cfg = sections["refinement"]
     os.makedirs(cfg.output_dir, exist_ok=True)
     write_resolved_config(cfg, os.path.join(cfg.output_dir,
                                             "resolved_config.json"))
-    result = run_refinement(dataset.train, model_cfg, loss_cfg, refine_cfg,
-                            cfg.seed)
+    result = run_refinement(dataset.train, sections["model"],
+                            sections["loss"], refine_cfg, cfg.seed)
     for iteration, snapshot in enumerate(result.checkpoints):
         for stream, model in snapshot.items():
             meta = dict(result.checkpoint_meta[iteration][stream])
@@ -166,28 +172,27 @@ def cmd_train(args):
     _write_log_csv(os.path.join(cfg.output_dir, "training_log.csv"),
                    result.log_rows)
     if args.dump_pseudo_gt:
-        for iteration, pseudo in enumerate(result.pseudo_gt):
-            if pseudo is None:
-                continue
+        for iteration, pseudo in enumerate(result.pseudo_gt[1:], start=1):
             pdir = os.path.join(cfg.output_dir, "pseudo_gt",
                                 f"iter{iteration}")
             os.makedirs(pdir, exist_ok=True)
             for vid, gt in sorted(pseudo.items()):
-                with open(os.path.join(pdir, f"{vid}.csv"), "w",
-                          newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["snippet", "pseudo_gt"])
-                    for i, value in enumerate(gt.values, start=1):
-                        writer.writerow([i, repr(float(value))])
+                save_pseudo_gt(os.path.join(pdir, f"{vid}.csv"), gt.values)
     n_ckpt = 2 * len(result.checkpoints)
     print(f"trained {refine_cfg.iterations + 1} iterations, wrote "
           f"{n_ckpt} checkpoints and training_log.csv -> {cfg.output_dir}")
     return 0
 
 
-def _load_stream_models(rgb_path, flow_path, dataset):
+def _load_inference_inputs(args):
+    """Config sections, dataset, both stream models and the videos of
+    the chosen split, for localize and plot."""
+    cfg = load_run_config(args.config)
+    dataset = synthdata.load(args.dataset)
+    sections = resolved_config(cfg, dataset)
     models = {}
-    for stream, path in (("rgb", rgb_path), ("flow", flow_path)):
+    for stream in STREAMS:
+        path = getattr(args, f"checkpoint_{stream}")
         model, _ = basemodel.load_checkpoint(path)
         if model.modality != stream:
             raise DataError(f"{path}: checkpoint modality is "
@@ -197,17 +202,14 @@ def _load_stream_models(rgb_path, flow_path, dataset):
             raise DataError(f"{path}: checkpoint shape does not match "
                             "the dataset")
         models[stream] = model
-    return models
+    return sections, dataset, models, getattr(dataset, args.split)
 
 
 def cmd_localize(args):
-    cfg = load_run_config(args.config)
-    dataset = synthdata.load(args.dataset)
-    _, _, _, loc_cfg = resolved_config(cfg, dataset)
-    models = _load_stream_models(args.checkpoint_rgb, args.checkpoint_flow,
-                                 dataset)
-    videos = dataset.test if args.split == "test" else dataset.train
-    proposals = pipeline.localize_dataset(models, videos, loc_cfg,
+    sections, dataset, models, videos = _load_inference_inputs(args)
+    proposals = pipeline.localize_dataset(models, videos,
+                                          sections["localization"],
+                                          sections["refinement"].beta,
                                           mode=args.mode)
     localization.save_proposals(args.out, proposals, dataset.class_names)
     print(f"wrote {len(proposals)} proposals -> {args.out}")
@@ -217,13 +219,9 @@ def cmd_localize(args):
 def cmd_eval(args):
     cfg = load_run_config(args.config)
     dataset = synthdata.load(args.dataset)
-    videos = dataset.test if args.split == "test" else dataset.train
-    if any(v.gt_segments is None for v in videos):
-        raise DataError("dataset has videos without ground truth; "
-                        "cannot evaluate")
+    gts = evaluation.gt_from_videos(getattr(dataset, args.split))
     proposals = localization.load_proposals(args.proposals,
                                             dataset.class_names)
-    gts = evaluation.gt_from_videos(videos)
     thresholds = cfg.evaluation.get("thresholds", DEFAULT_THRESHOLDS)
     report = evaluation.evaluate(proposals, gts, thresholds,
                                  dataset.num_classes)
@@ -234,22 +232,16 @@ def cmd_eval(args):
 
 
 def cmd_plot(args):
-    cfg = load_run_config(args.config)
-    dataset = synthdata.load(args.dataset)
-    _, _, _, loc_cfg = resolved_config(cfg, dataset)
-    models = _load_stream_models(args.checkpoint_rgb, args.checkpoint_flow,
-                                 dataset)
-    videos = dataset.test if args.split == "test" else dataset.train
-    pseudo = None
+    sections, _, models, videos = _load_inference_inputs(args)
+    pseudo = {}
     if args.pseudo_gt_dir:
-        pseudo = {}
         for video in videos:
             path = os.path.join(args.pseudo_gt_dir, f"{video.id}.csv")
             if os.path.exists(path):
-                with open(path, newline="", encoding="utf-8") as fh:
-                    rows = list(csv.DictReader(fh))
-                pseudo[video.id] = [float(r["pseudo_gt"]) for r in rows]
-    pipeline.write_plot_bundle(args.out, models, videos, loc_cfg,
+                pseudo[video.id] = load_pseudo_gt(path, video.num_snippets)
+    pipeline.write_plot_bundle(args.out, models, videos,
+                               sections["localization"],
+                               sections["refinement"].beta,
                                pseudo_by_video=pseudo)
     print(f"wrote plot data for {len(videos)} videos -> {args.out}")
     return 0

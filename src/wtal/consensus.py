@@ -8,12 +8,13 @@ sequence per training video, which becomes the frame-level pseudo ground
 truth for the next round of training.
 """
 
-import copy
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import basemodel, losses, numkit
+from .synthdata import DataError
 
 STREAMS = ("rgb", "flow")
 
@@ -63,6 +64,36 @@ class PseudoGroundTruth:
     source_iteration: int
 
 
+def save_pseudo_gt(path, values):
+    """CSV with header "snippet,pseudo_gt", one row per 1-based snippet."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["snippet", "pseudo_gt"])
+        for i, value in enumerate(values, start=1):
+            writer.writerow([i, repr(float(value))])
+
+
+def load_pseudo_gt(path, num_snippets):
+    """Values of a save_pseudo_gt file; each must be a number in [0, 1]."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if "pseudo_gt" not in (reader.fieldnames or ()):
+            raise DataError(f"{path}: missing column 'pseudo_gt'")
+        cells = [row["pseudo_gt"] for row in reader]
+    if len(cells) != num_snippets:
+        raise DataError(f"{path}: 'pseudo_gt' has {len(cells)} rows, "
+                        f"expected {num_snippets}")
+    try:
+        values = np.array([float(c) for c in cells])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: 'pseudo_gt' is not numeric") from exc
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        raise DataError(f"{path}: 'pseudo_gt' of snippet {bad[0] + 1} is "
+                        f"{cells[bad[0]]!r}, not in [0, 1]")
+    return values
+
+
 def fuse_attention(rgb, flow, beta):
     """Convex combination beta*rgb + (1-beta)*flow, elementwise."""
     rgb = np.asarray(rgb, dtype=np.float64)
@@ -106,12 +137,9 @@ def compute_pseudo_gt(models, videos, refine_cfg, source_iteration):
     """Pure function of frozen checkpoints + features -> pseudo GT dict."""
     out = {}
     for video in videos:
-        att = {}
-        for stream in STREAMS:
-            features = video.rgb if stream == "rgb" else video.flow
-            att[stream] = basemodel.forward(models[stream],
-                                            features).attention
-        fused = fuse_attention(att["rgb"], att["flow"], refine_cfg.beta)
+        rgb, flow = (basemodel.forward(models[s], video.features(s)).attention
+                     for s in STREAMS)
+        fused = fuse_attention(rgb, flow, refine_cfg.beta)
         if refine_cfg.smoothing_kernel:
             fused = max_pool_smooth(fused, refine_cfg.smoothing_kernel)
         out[video.id] = make_pseudo_gt(fused, refine_cfg.kind,
@@ -158,8 +186,7 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
         sums = np.zeros(3)  # cls, att, gt
         for vi in order:
             video = videos[vi]
-            features = video.rgb if model.modality == "rgb" else video.flow
-            fp = basemodel.forward(model, features)
+            fp = basemodel.forward(model, video.features(model.modality))
             cls_val = losses.classification_loss(video.label,
                                                  fp.video_prediction)
             d_pred = losses.classification_loss_grad(video.label,

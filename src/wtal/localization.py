@@ -23,7 +23,6 @@ class LocalizationConfig:
     attention_threshold: float = 0.5
     top_k: int = 2
     class_score_floor: float = 0.1
-    beta: float = 0.4
 
     def __post_init__(self):
         if self.upsample_factor < 1:
@@ -113,7 +112,7 @@ def oic_score(start, end, weights):
     return inner_mean - margin_mean
 
 
-def localize(video_id, rgb_out, flow_out, config, mode="fused"):
+def localize(video_id, rgb_out, flow_out, config, beta, mode="fused"):
     """Turn two streams' forward outputs into scored proposals.
 
     mode selects which attention/T-CAM/prediction drive localization:
@@ -121,11 +120,10 @@ def localize(video_id, rgb_out, flow_out, config, mode="fused"):
     """
     if mode == "fused":
         attention = fuse_attention(rgb_out.attention, flow_out.attention,
-                                   config.beta)
-        tcam = (config.beta * rgb_out.tcam
-                + (1.0 - config.beta) * flow_out.tcam)
-        prediction = (config.beta * rgb_out.video_prediction
-                      + (1.0 - config.beta) * flow_out.video_prediction)
+                                   beta)
+        tcam = fuse_attention(rgb_out.tcam, flow_out.tcam, beta)
+        prediction = fuse_attention(rgb_out.video_prediction,
+                                    flow_out.video_prediction, beta)
     elif mode in ("rgb", "flow"):
         out = rgb_out if mode == "rgb" else flow_out
         attention = out.attention

@@ -103,9 +103,7 @@ def fc_backward(inp, weights, d_out):
 def sigmoid(x):
     """Numerically stable logistic function, elementwise."""
     x = _as_f64(x)
-    out = np.empty_like(x, dtype=np.float64) if x.ndim else None
-    if x.ndim == 0:
-        return float(sigmoid(x[None])[0])
+    out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])

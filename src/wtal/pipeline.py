@@ -10,24 +10,23 @@ from .consensus import STREAMS, fuse_attention
 
 def stream_outputs(models, video):
     """Forward both streams on one video."""
-    return {s: basemodel.forward(models[s],
-                                 video.rgb if s == "rgb" else video.flow)
+    return {s: basemodel.forward(models[s], video.features(s))
             for s in STREAMS}
 
 
-def localize_dataset(models, videos, loc_cfg, mode="fused"):
+def localize_dataset(models, videos, loc_cfg, beta, mode="fused"):
     proposals = []
     for video in videos:
         outs = stream_outputs(models, video)
         proposals.extend(localization.localize(video.id, outs["rgb"],
-                                               outs["flow"], loc_cfg,
+                                               outs["flow"], loc_cfg, beta,
                                                mode=mode))
     return proposals
 
 
-def evaluate_models(models, videos, loc_cfg, thresholds, num_classes,
+def evaluate_models(models, videos, loc_cfg, beta, thresholds, num_classes,
                     mode="fused"):
-    proposals = localize_dataset(models, videos, loc_cfg, mode=mode)
+    proposals = localize_dataset(models, videos, loc_cfg, beta, mode=mode)
     gts = evaluation.gt_from_videos(videos)
     return evaluation.evaluate(proposals, gts, thresholds, num_classes)
 
@@ -35,13 +34,10 @@ def evaluate_models(models, videos, loc_cfg, thresholds, num_classes,
 # ---------------------------------------------------------------------------
 # plot emission
 
-def write_attention_csv(path, video, outs, loc_cfg, pseudo=None):
-    """Per-video CSV of upsampled attention rows; one row per upsampled
-    time step (T * factor rows)."""
-    factor = loc_cfg.upsample_factor
-    rgb = localization.upsample_linear(outs["rgb"].attention, factor)
-    flow = localization.upsample_linear(outs["flow"].attention, factor)
-    fused = fuse_attention(rgb, flow, loc_cfg.beta)
+def write_attention_csv(path, attention, factor, pseudo=None):
+    """Per-video CSV of the upsampled (rgb, flow, fused) attention rows;
+    one row per upsampled time step (T * factor rows)."""
+    rgb, flow, fused = attention
     header = ["time", "attention_rgb", "attention_flow", "attention_fuse"]
     if pseudo is not None:
         header.append("pseudo_gt")
@@ -64,13 +60,11 @@ def _svg_polyline(values, x_scale, y0, height, color):
             f'points="{points}"/>')
 
 
-def write_attention_svg(path, video, outs, proposals, loc_cfg):
-    """Small static figure: one row per attention sequence, ground-truth
-    segments as gray boxes, proposals as green boxes."""
-    factor = loc_cfg.upsample_factor
-    rgb = localization.upsample_linear(outs["rgb"].attention, factor)
-    flow = localization.upsample_linear(outs["flow"].attention, factor)
-    fused = fuse_attention(rgb, flow, loc_cfg.beta)
+def write_attention_svg(path, video, attention, proposals):
+    """Small static figure: one row per upsampled attention sequence
+    (rgb, flow, fused), ground-truth segments as gray boxes, proposals as
+    green boxes."""
+    rgb, flow, fused = attention
     width = 640.0
     row_h = 60.0
     pad = 10.0
@@ -106,16 +100,20 @@ def write_attention_svg(path, video, outs, proposals, loc_cfg):
         fh.write("\n".join(parts) + "\n")
 
 
-def write_plot_bundle(out_dir, models, videos, loc_cfg, pseudo_by_video=None):
+def write_plot_bundle(out_dir, models, videos, loc_cfg, beta,
+                      pseudo_by_video=None):
     os.makedirs(out_dir, exist_ok=True)
+    factor = loc_cfg.upsample_factor
     for video in videos:
         outs = stream_outputs(models, video)
         proposals = localization.localize(video.id, outs["rgb"],
-                                          outs["flow"], loc_cfg)
-        pseudo = None
-        if pseudo_by_video and video.id in pseudo_by_video:
-            pseudo = pseudo_by_video[video.id]
+                                          outs["flow"], loc_cfg, beta)
+        # upsample, then fuse; localize fuses first, which differs in bits
+        rgb, flow = (localization.upsample_linear(outs[s].attention, factor)
+                     for s in STREAMS)
+        attention = (rgb, flow, fuse_attention(rgb, flow, beta))
+        pseudo = (pseudo_by_video or {}).get(video.id)
         write_attention_csv(os.path.join(out_dir, f"{video.id}.csv"),
-                            video, outs, loc_cfg, pseudo=pseudo)
+                            attention, factor, pseudo=pseudo)
         write_attention_svg(os.path.join(out_dir, f"{video.id}.svg"),
-                            video, outs, proposals, loc_cfg)
+                            video, attention, proposals)

@@ -75,6 +75,10 @@ class VideoSample:
     def num_snippets(self):
         return self.rgb.shape[0]
 
+    def features(self, stream):
+        """The (T, D) feature sequence of one stream, "rgb" or "flow"."""
+        return self.rgb if stream == "rgb" else self.flow
+
 
 @dataclass
 class Dataset:
@@ -125,14 +129,10 @@ def _smooth_noise(rng, shape, sigma, window):
     padded = np.concatenate([noise[:half][::-1], noise,
                              noise[-half:][::-1]], axis=0)
     kernel = np.ones(window) / np.sqrt(window)
-    out = np.empty_like(noise)
-    for j in range(window):
-        if j == 0:
-            acc = padded[0:t] * kernel[0]
-        else:
-            acc += padded[j:j + t] * kernel[j]
-    out[:] = acc
-    return out
+    acc = padded[0:t] * kernel[0]
+    for j in range(1, window):
+        acc += padded[j:j + t] * kernel[j]
+    return acc
 
 
 def _signal_directions(rng, num_classes, dim):
@@ -279,6 +279,10 @@ def load(directory):
         raise DataError("class_names length disagrees with C")
     splits = {"train": [], "test": []}
     for entry in entries:
+        split = entry.get("split", "train")
+        if split not in splits:
+            raise DataError(f"{manifest_path}: video {entry['id']}: unknown "
+                            f"split {split!r} (expected 'train' or 'test')")
         t = int(entry["T"])
         label = np.asarray(entry["label"], dtype=np.float64)
         if label.shape != (c,):
@@ -295,6 +299,6 @@ def load(directory):
                         f"video {entry['id']}: invalid gt segment")
         sample = VideoSample(id=entry["id"], label=label, rgb=rgb,
                              flow=flow, gt_segments=gt)
-        splits[entry.get("split", "train")].append(sample)
+        splits[split].append(sample)
     return Dataset(class_names=class_names, feature_dim=d,
                    train=splits["train"], test=splits["test"])

@@ -63,7 +63,8 @@ def trend_runs():
             for snapshot in result.checkpoints:
                 rows.append({
                     mode: pipeline.evaluate_models(
-                        snapshot, dataset.test, loc_cfg, [0.5],
+                        snapshot, dataset.test, loc_cfg, refine_cfg.beta,
+                        [0.5],
                         dataset.num_classes,
                         mode=mode).map_at_threshold[0.5]
                     for mode in MODES})
@@ -73,7 +74,8 @@ def trend_runs():
                 for snapshot in (result.checkpoints[0],
                                  result.checkpoints[-1]):
                     proposals = pipeline.localize_dataset(
-                        snapshot, dataset.test, loc_cfg, mode="rgb")
+                        snapshot, dataset.test, loc_cfg, refine_cfg.beta,
+                        mode="rgb")
                     f_scores.append(evaluation.precision_recall_f(
                         proposals, gts, 0.5)[2])
                 data["rgb_f"].append(tuple(f_scores))

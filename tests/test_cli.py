@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wtal import cli, synthdata
+from wtal.consensus import fuse_attention
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,9 @@ class TestTrain:
         assert resolved["refinement"]["iterations"] == 1
         assert resolved["refinement"]["beta"] == 0.4
         assert resolved["localization"]["upsample_factor"] == 8
+        assert "beta" not in resolved["localization"]
+        assert resolved["model"] == {"conv_layers": 2, "embed_dim": None,
+                                     "kernel_size": 3}
         reloaded = cli.load_run_config(path)
         assert reloaded.seed == 5
         assert reloaded.refinement["epochs_initial"] == 4
@@ -118,6 +122,20 @@ class TestTrain:
                          "--dataset", str(workspace["data"]),
                          "--out", str(tmp_path / "r")]) == 2
         assert "iteratons" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,field", [
+        ("model", "bogus"), ("model", "feature_dim"),
+        ("model", "num_classes"), ("localization", "beta")])
+    def test_unsettable_section_field_reported(self, workspace, tmp_path,
+                                               capsys, section, field):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({section: {field: 1}}))
+        assert cli.main(["train", "--config", str(config),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert f"config section {section!r}: unknown field {field!r}" in err
+        assert not (tmp_path / "r").exists()
 
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         config = tmp_path / "broken.json"
@@ -211,6 +229,30 @@ class TestLocalizeEval:
         assert "does not match" in capsys.readouterr().err
 
 
+    def test_unknown_manifest_split(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        synthdata.save(synthdata.load(workspace["data"]), data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["videos"][0]["split"] = "val"
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["eval", "--proposals", str(tmp_path / "p.json"),
+                         "--dataset", str(data),
+                         "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err
+        assert manifest["videos"][0]["id"] in err
+        assert "split 'val'" in err
+
+
+def plot(workspace, out, *extra, split="train"):
+    run_dir = workspace["run"]
+    return cli.main(["plot",
+                     "--checkpoint-rgb", str(run_dir / "iter1_rgb.ckpt"),
+                     "--checkpoint-flow", str(run_dir / "iter1_flow.ckpt"),
+                     "--dataset", str(workspace["data"]),
+                     "--split", split, "--out", str(out), *extra])
+
+
 class TestPlot:
     def test_plot_bundle(self, workspace, tmp_path):
         run_dir = workspace["run"]
@@ -249,3 +291,61 @@ class TestPlot:
         dataset = synthdata.load(workspace["data"])
         lines = (out / f"{dataset.train[0].id}.csv").read_text().splitlines()
         assert lines[0].endswith(",pseudo_gt")
+
+    def test_rerun_identical_bytes_and_fused_row(self, workspace, tmp_path):
+        a = tmp_path / "a"
+        b = tmp_path / "b"
+        assert plot(workspace, a, split="test") == 0
+        assert plot(workspace, b, split="test") == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        resolved = json.loads(
+            (workspace["run"] / "resolved_config.json").read_text())
+        beta = resolved["refinement"]["beta"]
+        for path in a.glob("*.csv"):
+            rows = path.read_text().splitlines()[1:]
+            _, rgb, flow, fuse = np.array(
+                [[float(x) for x in row.split(",")] for row in rows]).T
+            np.testing.assert_array_equal(fuse,
+                                          fuse_attention(rgb, flow, beta))
+
+    @staticmethod
+    def corrupt_pseudo_gt(workspace, tmp_path, edit):
+        """Copy the iteration-1 pseudo GT and apply edit to the lines of
+        the first train video's file; returns (directory, that file)."""
+        pdir = tmp_path / "pseudo"
+        pdir.mkdir()
+        for src in (workspace["run"] / "pseudo_gt" / "iter1").iterdir():
+            (pdir / src.name).write_bytes(src.read_bytes())
+        target = pdir / f"{synthdata.load(workspace['data']).train[0].id}.csv"
+        lines = target.read_text().splitlines()
+        target.write_text("\n".join(edit(lines)) + "\n")
+        return pdir, target
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:-1],
+        lambda lines: lines[:1] + ["1,nan"] + lines[2:],
+        lambda lines: lines[:1] + ["1,oops"] + lines[2:],
+        lambda lines: lines[:1] + ["1,1.5"] + lines[2:],
+    ], ids=["short", "nan", "text", "out-of-range"])
+    def test_bad_pseudo_gt_is_data_error(self, workspace, tmp_path, capsys,
+                                         edit):
+        pdir, target = self.corrupt_pseudo_gt(workspace, tmp_path, edit)
+        assert plot(workspace, tmp_path / "plots", "--pseudo-gt-dir",
+                    str(pdir)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(target) in err and "'pseudo_gt'" in err
+
+    def test_plot_dir_as_pseudo_gt_dir_is_data_error(self, workspace,
+                                                      tmp_path, capsys):
+        plots = tmp_path / "plots"
+        assert plot(workspace, plots) == 0
+        capsys.readouterr()
+        assert plot(workspace, tmp_path / "again", "--pseudo-gt-dir",
+                    str(plots)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "missing column 'pseudo_gt'" in err and str(plots) in err

@@ -4,8 +4,8 @@ import pytest
 from wtal import consensus, synthdata
 from wtal.basemodel import ModelConfig
 from wtal.consensus import (RefinementConfig, compute_pseudo_gt,
-                            fuse_attention, make_pseudo_gt,
-                            max_pool_smooth, run_refinement)
+                            fuse_attention, load_pseudo_gt, make_pseudo_gt,
+                            max_pool_smooth, run_refinement, save_pseudo_gt)
 from wtal.losses import LossConfig
 
 
@@ -119,6 +119,27 @@ class TestMakePseudoGt:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_pseudo_gt([0.5], "fuzzy", 0.5)
+
+
+class TestPseudoGtCsv:
+    def test_round_trip_bit_exact(self, tmp_path):
+        values = np.random.default_rng(3).uniform(size=17)
+        path = tmp_path / "v.csv"
+        save_pseudo_gt(path, values)
+        assert path.read_text().splitlines()[0] == "snippet,pseudo_gt"
+        np.testing.assert_array_equal(load_pseudo_gt(path, 17), values)
+
+    def test_row_count_must_match(self, tmp_path):
+        path = tmp_path / "v.csv"
+        save_pseudo_gt(path, [0.0, 1.0])
+        with pytest.raises(synthdata.DataError, match="expected 3"):
+            load_pseudo_gt(path, 3)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("")
+        with pytest.raises(synthdata.DataError, match="missing column"):
+            load_pseudo_gt(path, 1)
 
 
 class TestRefinementConfig:

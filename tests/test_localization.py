@@ -3,6 +3,7 @@ import pytest
 
 from wtal import localization
 from wtal.basemodel import ForwardPass
+from wtal.consensus import RefinementConfig
 from wtal.localization import (ActionProposal, LocalizationConfig,
                                extract_segments, localize, oic_score,
                                proposals_from_json, proposals_to_json,
@@ -157,6 +158,7 @@ def make_outputs(attention, tcam, prediction):
 class TestLocalize:
     def setup_method(self):
         self.config = LocalizationConfig()
+        self.beta = RefinementConfig().beta
 
     def outputs_with_box(self, hot_class=0):
         t = 12
@@ -173,11 +175,11 @@ class TestLocalize:
     def test_low_attention_gives_no_proposals(self):
         out = make_outputs(np.full(10, 0.2), np.full((10, 3), 1.0 / 3.0),
                            [0.5, 0.3, 0.2])
-        assert localize("v", out, out, self.config) == []
+        assert localize("v", out, out, self.config, self.beta) == []
 
     def test_single_box_yields_overlapping_proposal(self):
         out = self.outputs_with_box()
-        proposals = localize("v", out, out, self.config)
+        proposals = localize("v", out, out, self.config, self.beta)
         assert proposals
         best = max(proposals, key=lambda p: p.score)
         assert best.category == 1
@@ -191,7 +193,7 @@ class TestLocalize:
         tcam = np.full((t, 3), 1.0 / 3.0)
         tcam[4:8] = [0.6, 0.3, 0.1]
         out = make_outputs(attention, tcam, [0.5, 0.5, 0.0])
-        proposals = localize("v", out, out, self.config)
+        proposals = localize("v", out, out, self.config, self.beta)
         by_cat = {}
         for p in proposals:
             by_cat.setdefault(p.category, []).append(p)
@@ -213,7 +215,7 @@ class TestLocalize:
             out = make_outputs(attention, tcam, pred)
             allowed = set(select_categories(pred, self.config.top_k,
                                             self.config.class_score_floor))
-            for p in localize("v", out, out, self.config):
+            for p in localize("v", out, out, self.config, self.beta):
                 assert p.category in allowed
                 assert p.score > 0.0
 
@@ -222,17 +224,18 @@ class TestLocalize:
         flow = make_outputs(np.full(12, 0.05),
                             np.full((12, 3), 1.0 / 3.0),
                             [1.0 / 3.0] * 3)
-        assert localize("v", rgb, flow, self.config, mode="rgb")
-        assert localize("v", rgb, flow, self.config, mode="flow") == []
+        assert localize("v", rgb, flow, self.config, self.beta, mode="rgb")
+        assert localize("v", rgb, flow, self.config, self.beta,
+                        mode="flow") == []
 
     def test_unknown_mode_rejected(self):
         out = self.outputs_with_box()
         with pytest.raises(ValueError):
-            localize("v", out, out, self.config, mode="both")
+            localize("v", out, out, self.config, self.beta, mode="both")
 
     def test_boundaries_in_snippet_units(self):
         out = self.outputs_with_box()
-        proposals = localize("v", out, out, self.config)
+        proposals = localize("v", out, out, self.config, self.beta)
         for p in proposals:
             assert 0.0 <= p.start < p.end <= 12.0
 
