@@ -28,8 +28,10 @@ class ModelConfig:
             self.embed_dim = self.feature_dim
         if self.kernel_size % 2 == 0 or self.kernel_size < 1:
             raise ValueError("kernel_size must be odd")
-        if self.conv_layers < 1 or self.num_classes < 2:
-            raise ValueError("invalid model configuration")
+        if self.conv_layers < 1 or self.embed_dim < 1:
+            raise ValueError("conv_layers and embed_dim must be >= 1")
+        if self.num_classes < 2:
+            raise ValueError("num_classes must be >= 2")
 
 
 @dataclass

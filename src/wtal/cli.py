@@ -10,16 +10,17 @@ import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 
 from . import basemodel, evaluation, localization, pipeline, synthdata
 from .basemodel import ModelConfig
 from .consensus import (STREAMS, NumericError, RefinementConfig,
                         load_pseudo_gt, run_refinement, save_pseudo_gt)
+from .evaluation import EvaluationConfig
 from .localization import LocalizationConfig
 from .losses import LossConfig
-from .synthdata import DataError, GeneratorConfig
-
-DEFAULT_THRESHOLDS = [round(0.1 * i, 1) for i in range(1, 10)]
+from .synthdata import DataError, GeneratorConfig, finite_number
 
 
 class UsageError(Exception):
@@ -38,25 +39,70 @@ class RunConfig:
     seed: int = 0
     dataset: str = "data"
     output_dir: str = "runs/default"
-    generator: dict = dataclasses.field(default_factory=dict)
     model: dict = dataclasses.field(default_factory=dict)
     loss: dict = dataclasses.field(default_factory=dict)
     refinement: dict = dataclasses.field(default_factory=dict)
     localization: dict = dataclasses.field(default_factory=dict)
-    evaluation: dict = dataclasses.field(
-        default_factory=lambda: {"thresholds": DEFAULT_THRESHOLDS})
+    evaluation: dict = dataclasses.field(default_factory=dict)
 
 
-SECTIONS = {"generator": GeneratorConfig, "model": ModelConfig,
-            "loss": LossConfig, "refinement": RefinementConfig,
-            "localization": LocalizationConfig}
+SECTIONS = {"model": ModelConfig, "loss": LossConfig,
+            "refinement": RefinementConfig,
+            "localization": LocalizationConfig,
+            "evaluation": EvaluationConfig}
+
+_JSON_NAMES = {int: "integer", float: "number", str: "string",
+               dict: "JSON object", type(None): "null"}
 
 
-def _settable(config_cls):
-    """{field name: default} of the fields a config section may set; a
-    field without a default (the model's shape) comes from the dataset."""
-    return {f.name: f.default for f in dataclasses.fields(config_cls)
-            if f.default is not dataclasses.MISSING}
+def _settable(cls):
+    """{field name: default} of the fields a config may set; a field
+    without a default (the model's shape) comes from the dataset."""
+    missing = dataclasses.MISSING
+    return {f.name: f.default_factory() if f.default is missing
+            else f.default for f in dataclasses.fields(cls)
+            if (f.default, f.default_factory) != (missing, missing)}
+
+
+def _fits(value, hint):
+    """Whether a parsed JSON value fits a field's type hint. A bool is
+    never a number, an int fits a float, a list fits a tuple when each
+    element fits, and X | None also takes null."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(
+            _fits(v, typing.get_args(hint)[0]) for v in value)
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if hint is float:
+        return finite_number(value)
+    return isinstance(value, hint) and not isinstance(value, bool)
+
+
+def _describe(hint):
+    if typing.get_origin(hint) is tuple:
+        return f"list of {_describe(typing.get_args(hint)[0])}s"
+    if typing.get_origin(hint) is types.UnionType:
+        return " or ".join(map(_describe, typing.get_args(hint)))
+    return _JSON_NAMES[hint]
+
+
+def _check_fields(where, raw, cls):
+    """Raise a one-line DataError unless raw is a JSON object that sets
+    only settable fields of the config class cls, each to a value of its
+    type."""
+    if not isinstance(raw, dict):
+        raise DataError(f"{where}: expected a JSON object, got "
+                        f"{json.dumps(raw)}")
+    known = _settable(cls)
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        if key not in known:
+            raise DataError(f"{where}: unknown field {key!r} "
+                            f"(expected one of {sorted(known)})")
+        if not _fits(value, hints[key]):
+            raise DataError(f"{where}: field {key!r} expects "
+                            f"{_describe(hints[key])}, got "
+                            f"{json.dumps(value)}")
 
 
 def load_run_config(path=None, overrides=None):
@@ -71,32 +117,30 @@ def load_run_config(path=None, overrides=None):
             raise DataError(
                 f"{path}: invalid JSON at line {exc.lineno}, column "
                 f"{exc.colno}: {exc.msg}") from exc
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        for key, value in raw.items():
-            if key not in known:
-                raise DataError(f"{path}: unknown config field {key!r}")
-            setattr(cfg, key, value)
+        _check_fields(path, raw, RunConfig)
+        for name, cls in SECTIONS.items():
+            _check_fields(f"{path}: config section {name!r}",
+                          raw.get(name, {}), cls)
+        cfg = RunConfig(**raw)
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, key, value)
-    for name, cls in SECTIONS.items():
-        known = _settable(cls)
-        for key in getattr(cfg, name):
-            if key not in known:
-                raise DataError(f"config section {name!r}: unknown field "
-                                f"{key!r} (expected one of {sorted(known)})")
     return cfg
 
 
 def resolved_config(cfg, dataset):
-    """{section name: config object} for every section in SECTIONS."""
+    """{section name: config object} for every section in SECTIONS; a
+    value the section's constructor rejects is a DataError."""
     sections = {}
     for name, cls in SECTIONS.items():
         values = dict(getattr(cfg, name))
         if name == "model":
             values.update(feature_dim=dataset.feature_dim,
                           num_classes=dataset.num_classes)
-        sections[name] = cls(**values)
+        try:
+            sections[name] = cls(**values)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"config section {name!r}: {exc}") from exc
     return sections
 
 
@@ -176,8 +220,8 @@ def cmd_train(args):
             pdir = os.path.join(cfg.output_dir, "pseudo_gt",
                                 f"iter{iteration}")
             os.makedirs(pdir, exist_ok=True)
-            for vid, gt in sorted(pseudo.items()):
-                save_pseudo_gt(os.path.join(pdir, f"{vid}.csv"), gt.values)
+            for vid, values in sorted(pseudo.items()):
+                save_pseudo_gt(os.path.join(pdir, f"{vid}.csv"), values)
     n_ckpt = 2 * len(result.checkpoints)
     print(f"trained {refine_cfg.iterations + 1} iterations, wrote "
           f"{n_ckpt} checkpoints and training_log.csv -> {cfg.output_dir}")
@@ -219,11 +263,12 @@ def cmd_localize(args):
 def cmd_eval(args):
     cfg = load_run_config(args.config)
     dataset = synthdata.load(args.dataset)
+    sections = resolved_config(cfg, dataset)
     gts = evaluation.gt_from_videos(getattr(dataset, args.split))
     proposals = localization.load_proposals(args.proposals,
                                             dataset.class_names)
-    thresholds = cfg.evaluation.get("thresholds", DEFAULT_THRESHOLDS)
-    report = evaluation.evaluate(proposals, gts, thresholds,
+    report = evaluation.evaluate(proposals, gts,
+                                 sections["evaluation"].thresholds,
                                  dataset.num_classes)
     base = args.out
     evaluation.save_report(base + ".json", base + ".txt", report)
@@ -239,6 +284,9 @@ def cmd_plot(args):
             path = os.path.join(args.pseudo_gt_dir, f"{video.id}.csv")
             if os.path.exists(path):
                 pseudo[video.id] = load_pseudo_gt(path, video.num_snippets)
+        if not pseudo:
+            raise DataError(f"{args.pseudo_gt_dir}: no pseudo-GT CSV for "
+                            f"any {args.split} video")
     pipeline.write_plot_bundle(args.out, models, videos,
                                sections["localization"],
                                sections["refinement"].beta,

@@ -52,16 +52,13 @@ class RefinementConfig:
             raise ValueError("kind must be 'soft' or 'hard'")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.smoothing_kernel and self.smoothing_kernel % 2 == 0:
-            raise ValueError("smoothing kernel must be odd")
-
-
-@dataclass
-class PseudoGroundTruth:
-    video_id: str
-    values: np.ndarray
-    kind: str
-    source_iteration: int
+        if self.epochs_initial < 1 or self.epochs_refine < 1:
+            raise ValueError("epochs_initial and epochs_refine must be >= 1")
+        if self.smoothing_kernel < 0 or (self.smoothing_kernel
+                                         and self.smoothing_kernel % 2 == 0):
+            raise ValueError("smoothing_kernel must be 0 or odd")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be > 0")
 
 
 def save_pseudo_gt(path, values):
@@ -117,24 +114,23 @@ def max_pool_smooth(attention, kernel):
                      for i in range(t)])
 
 
-def make_pseudo_gt(fused, kind, theta, video_id="", source_iteration=0):
-    """Soft: copy the fused attention. Hard: 1 where fused > theta else 0
-    (strict inequality, so a value equal to theta maps to 0)."""
+def make_pseudo_gt(fused, kind, theta):
+    """Frame-level pseudo GT values. Soft: a copy of the fused attention.
+    Hard: 1 where fused > theta else 0 (strict inequality, so a value
+    equal to theta maps to 0)."""
     fused = np.asarray(fused, dtype=np.float64)
     if fused.min() < 0.0 or fused.max() > 1.0:
         raise ValueError("fused attention must lie in [0, 1]")
     if kind == "soft":
-        values = fused.copy()
-    elif kind == "hard":
-        values = (fused > theta).astype(np.float64)
-    else:
-        raise ValueError("kind must be 'soft' or 'hard'")
-    return PseudoGroundTruth(video_id=video_id, values=values, kind=kind,
-                             source_iteration=source_iteration)
+        return fused.copy()
+    if kind == "hard":
+        return (fused > theta).astype(np.float64)
+    raise ValueError("kind must be 'soft' or 'hard'")
 
 
-def compute_pseudo_gt(models, videos, refine_cfg, source_iteration):
-    """Pure function of frozen checkpoints + features -> pseudo GT dict."""
+def compute_pseudo_gt(models, videos, refine_cfg):
+    """Pure function of frozen checkpoints + features -> {video id: pseudo
+    GT values}."""
     out = {}
     for video in videos:
         rgb, flow = (basemodel.forward(models[s], video.features(s)).attention
@@ -143,8 +139,7 @@ def compute_pseudo_gt(models, videos, refine_cfg, source_iteration):
         if refine_cfg.smoothing_kernel:
             fused = max_pool_smooth(fused, refine_cfg.smoothing_kernel)
         out[video.id] = make_pseudo_gt(fused, refine_cfg.kind,
-                                       refine_cfg.theta, video_id=video.id,
-                                       source_iteration=source_iteration)
+                                       refine_cfg.theta)
     return out
 
 
@@ -197,7 +192,7 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
             gt_val = None
             if pseudo is not None:
                 gt_val, d_gt = losses.pseudo_gt_loss(
-                    fp.attention, pseudo[video.id].values)
+                    fp.attention, pseudo[video.id])
                 d_att = d_att + loss_cfg.gamma * d_gt
             total = losses.total_loss(cls_val, att_val, loss_cfg,
                                       gt_value=gt_val, iteration=iteration)
@@ -262,7 +257,6 @@ def run_refinement(train_videos, model_cfg, loss_cfg, refine_cfg, seed):
         result.checkpoints.append(snapshot)
         result.checkpoint_meta.append(meta)
         if iteration < refine_cfg.iterations:
-            pseudo = compute_pseudo_gt(snapshot, train_videos, refine_cfg,
-                                       source_iteration=iteration)
+            pseudo = compute_pseudo_gt(snapshot, train_videos, refine_cfg)
             result.pseudo_gt.append(pseudo)
     return result

@@ -11,6 +11,22 @@ from dataclasses import dataclass, field
 
 
 @dataclass
+class EvaluationConfig:
+    thresholds: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                     0.9)
+
+    def __post_init__(self):
+        self.thresholds = tuple(self.thresholds)
+        if not self.thresholds:
+            raise ValueError("thresholds must not be empty")
+        if not all(0.0 < t <= 1.0 for t in self.thresholds):
+            raise ValueError("thresholds must lie in (0, 1]")
+        # mAP is keyed by threshold but averaged over the list's length
+        if len(set(self.thresholds)) != len(self.thresholds):
+            raise ValueError("thresholds must not repeat")
+
+
+@dataclass
 class GroundTruthSegment:
     video_id: str
     start: float
@@ -166,8 +182,8 @@ def map_at(proposals, gts, thresholds, num_classes):
 
 
 def precision_recall_f(proposals, gts, iou_threshold=0.5):
-    """Detection precision/recall/F at one IoU threshold, greedy matching
-    per class and per video in descending score order."""
+    """Detection (precision, recall, F, TP count) at one IoU threshold,
+    greedy matching per class and per video in descending score order."""
     tp = 0
     classes = sorted({g.category for g in gts}
                      | {p.category for p in proposals})
@@ -181,15 +197,14 @@ def precision_recall_f(proposals, gts, iou_threshold=0.5):
     recall = tp / n_gt if n_gt else 0.0
     f = 2 * precision * recall / (precision + recall) \
         if precision + recall > 0 else 0.0
-    return precision, recall, f
+    return precision, recall, f, tp
 
 
 def evaluate(proposals, gts, thresholds, num_classes):
     """Full report: mAP at each threshold plus P/R/F at IoU 0.5."""
     per_class, map_values, notes = map_at(proposals, gts, thresholds,
                                           num_classes)
-    precision, recall, f = precision_recall_f(proposals, gts, 0.5)
-    tp = round(precision * len(proposals))
+    precision, recall, f, tp = precision_recall_f(proposals, gts, 0.5)
     return EvalReport(
         thresholds=list(thresholds),
         map_at_threshold=map_values,

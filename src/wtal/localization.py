@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consensus import fuse_attention
+from .synthdata import DataError, finite_number
 
 
 @dataclass
@@ -29,6 +30,8 @@ class LocalizationConfig:
             raise ValueError("upsample_factor must be >= 1")
         if not 0.0 < self.attention_threshold < 1.0:
             raise ValueError("attention_threshold must lie in (0, 1)")
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
 
 
 @dataclass
@@ -167,17 +170,44 @@ def proposals_to_json(proposals, class_names):
     return {"results": results}
 
 
+def _proposal_from_json(video_id, entry, name_to_index):
+    def invalid(key, expected):
+        found = f"is {entry[key]!r}" if key in entry else "is missing"
+        return DataError(f"video {video_id}: field {key!r} {found}, "
+                         f"expected {expected}")
+
+    if not isinstance(entry, dict):
+        raise DataError(f"video {video_id}: proposal {entry!r} is not an "
+                        "object")
+    label = entry.get("label")
+    if not isinstance(label, str) or label not in name_to_index:
+        raise invalid("label", "one of the dataset's class names")
+    if not finite_number(entry.get("score")):
+        raise invalid("score", "a finite number")
+    segment = entry.get("segment")
+    if not (isinstance(segment, list) and len(segment) == 2
+            and all(map(finite_number, segment))
+            and segment[0] < segment[1]):
+        raise invalid("segment", "two finite numbers, start < end")
+    return ActionProposal(video_id=video_id, start=float(segment[0]),
+                          end=float(segment[1]),
+                          category=name_to_index[label],
+                          score=float(entry["score"]))
+
+
 def proposals_from_json(payload, class_names):
+    """Proposals of a proposals_to_json payload; a malformed entry raises
+    DataError naming the video and the field."""
     name_to_index = {name: i + 1 for i, name in enumerate(class_names)}
+    results = payload.get("results") if isinstance(payload, dict) else None
+    if not isinstance(results, dict):
+        raise DataError("field 'results' is not an object of video ids")
     proposals = []
-    for video_id, entries in payload["results"].items():
-        for entry in entries:
-            proposals.append(ActionProposal(
-                video_id=video_id,
-                start=float(entry["segment"][0]),
-                end=float(entry["segment"][1]),
-                category=name_to_index[entry["label"]],
-                score=float(entry["score"])))
+    for video_id, entries in results.items():
+        if not isinstance(entries, list):
+            raise DataError(f"video {video_id}: proposals are not a list")
+        proposals.extend(_proposal_from_json(video_id, entry, name_to_index)
+                         for entry in entries)
     return proposals
 
 
@@ -190,4 +220,7 @@ def save_proposals(path, proposals, class_names):
 
 def load_proposals(path, class_names):
     with open(path, "r", encoding="utf-8") as fh:
-        return proposals_from_json(json.load(fh), class_names)
+        try:
+            return proposals_from_json(json.load(fh), class_names)
+        except (DataError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: {exc}") from exc

@@ -20,7 +20,7 @@ class LossConfig:
 
     def __post_init__(self):
         if self.alpha < 0 or self.gamma < 0 or self.s < 1:
-            raise ValueError("invalid loss configuration")
+            raise ValueError("alpha and gamma must be >= 0, s >= 1")
 
 
 def classification_loss(y, y_hat):

@@ -16,6 +16,7 @@ are 1-based.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -24,6 +25,17 @@ import numpy as np
 
 class DataError(ValueError):
     """Raised for invalid configurations or malformed dataset files."""
+
+
+def finite_number(value):
+    """Whether a parsed JSON value is a number with a finite float value;
+    a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int too large for a float
+        return False
 
 
 @dataclass
@@ -278,11 +290,22 @@ def load(directory):
     if len(class_names) != c:
         raise DataError("class_names length disagrees with C")
     splits = {"train": [], "test": []}
-    for entry in entries:
+    seen = set()
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DataError(f"{manifest_path}: video #{index} is not an "
+                            "object")
+        where = f"{manifest_path}: video {entry.get('id', f'#{index}')}"
+        for key in ("id", "T", "label", "rgb_file", "flow_file"):
+            if key not in entry:
+                raise DataError(f"{where}: missing field {key!r}")
+        if entry["id"] in seen:
+            raise DataError(f"{where}: repeated video id")
+        seen.add(entry["id"])
         split = entry.get("split", "train")
         if split not in splits:
-            raise DataError(f"{manifest_path}: video {entry['id']}: unknown "
-                            f"split {split!r} (expected 'train' or 'test')")
+            raise DataError(f"{where}: unknown split {split!r} (expected "
+                            "'train' or 'test')")
         t = int(entry["T"])
         label = np.asarray(entry["label"], dtype=np.float64)
         if label.shape != (c,):

@@ -248,21 +248,20 @@ class TestPseudoGtContracts:
         # hard pseudo GT is binary with strict > at theta
         for pseudo in result.pseudo_gt[1:]:
             for gt_obj in pseudo.values():
-                ok &= set(np.unique(gt_obj.values)) <= {0.0, 1.0}
+                ok &= set(np.unique(gt_obj)) <= {0.0, 1.0}
         boundary = consensus.make_pseudo_gt([0.6, 0.5, 0.4], "hard", 0.5)
-        ok &= list(boundary.values) == [1.0, 0.0, 0.0]
+        ok &= list(boundary) == [1.0, 0.0, 0.0]
         # soft pseudo GT equals the fused attention exactly
         fused = np.array([0.12, 0.5, 0.93])
         ok &= np.array_equal(
-            consensus.make_pseudo_gt(fused, "soft", 0.5).values, fused)
+            consensus.make_pseudo_gt(fused, "soft", 0.5), fused)
         # recomputation from the frozen previous-iteration checkpoints
         # is bit-identical
         for iteration, pseudo in enumerate(result.pseudo_gt[1:]):
             recomputed = consensus.compute_pseudo_gt(
-                result.checkpoints[iteration], dataset.train, refine_cfg,
-                source_iteration=iteration)
+                result.checkpoints[iteration], dataset.train, refine_cfg)
             for vid, gt_obj in pseudo.items():
-                ok &= np.array_equal(gt_obj.values, recomputed[vid].values)
+                ok &= np.array_equal(gt_obj, recomputed[vid])
         report("pseudo-GT contracts: hard binary with strict threshold, "
                "soft equals fused attention, recomputation from frozen "
                "checkpoints bit-identical", ok)

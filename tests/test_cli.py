@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtal import cli, synthdata
 from wtal.consensus import fuse_attention
@@ -27,6 +29,29 @@ def workspace(tmp_path_factory):
                      "--seed", "5", "--dump-pseudo-gt"]) == 0
     return {"root": root, "data": data_dir, "config": config_path,
             "run": run_dir}
+
+
+@pytest.fixture(scope="module")
+def proposals(workspace):
+    """Proposals of the final checkpoints on the test split."""
+    path = workspace["root"] / "proposals.json"
+    run_dir = workspace["run"]
+    assert cli.main(["localize",
+                     "--checkpoint-rgb", str(run_dir / "iter1_rgb.ckpt"),
+                     "--checkpoint-flow", str(run_dir / "iter1_flow.ckpt"),
+                     "--dataset", str(workspace["data"]),
+                     "--out", str(path)]) == 0
+    return path
+
+
+# small numbers are drawn often, so that some configs are valid
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.integers(0, 9) | st.floats(0, 1) | st.text(max_size=3))
+JSON_VALUES = (JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+               | st.dictionaries(st.text(max_size=3), JSON_SCALARS,
+                                 max_size=2))
+SECTION_FIELDS = [(name, key) for name, config_cls in cli.SECTIONS.items()
+                  for key in cli._settable(config_cls)]
 
 
 class TestGenData:
@@ -137,6 +162,71 @@ class TestTrain:
         assert f"config section {section!r}: unknown field {field!r}" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("config,names", [
+        ({"model": 5}, ["'model'"]),
+        ({"refinement": {"beta": "x"}}, ["'refinement'", "'beta'"]),
+        ({"refinement": {"iterations": 1.5}},
+         ["'refinement'", "'iterations'"]),
+        ({"localization": {"upsample_factor": 2.5}},
+         ["'localization'", "'upsample_factor'"]),
+        ({"loss": {"s": 2.5}}, ["'loss'", "'s'"]),
+        ({"seed": "x"}, ["'seed'"]),
+        ({"evaluation": {"thresold": [0.5]}}, ["'evaluation'", "'thresold'"]),
+        ({"evaluation": {"thresholds": 0.5}},
+         ["'evaluation'", "'thresholds'"]),
+        ({"evaluation": {"thresholds": [1.5]}}, ["'evaluation'", "thresholds"]),
+        ({"evaluation": {"thresholds": ["a"]}},
+         ["'evaluation'", "'thresholds'"]),
+        ({"evaluation": {"thresholds": [0.5, 0.5]}},
+         ["'evaluation'", "thresholds"]),
+        ({"generator": {}}, ["'generator'"]),
+        ([1], ["[1]"]),
+        ({"model": {"embed_dim": 0}}, ["'model'", "embed_dim"]),
+        ({"refinement": {"epochs_initial": 0}},
+         ["'refinement'", "epochs_initial"]),
+        ({"refinement": {"smoothing_kernel": -1}},
+         ["'refinement'", "smoothing_kernel"]),
+        ({"refinement": {"learning_rate": -1}},
+         ["'refinement'", "learning_rate"]),
+        ({"localization": {"top_k": 0}}, ["'localization'", "top_k"]),
+    ], ids=["model-not-object", "beta-string", "iterations-float",
+            "upsample-float", "s-float", "seed-string", "evaluation-typo",
+            "thresholds-scalar", "threshold-above-1", "threshold-string",
+            "threshold-repeated", "generator-section", "top-level-list",
+            "embed-dim-0", "epochs-0", "smoothing-negative",
+            "learning-rate-negative", "top-k-0"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_config_is_one_line_data_error(self, workspace, tmp_path,
+                                               capsys, command, config,
+                                               names):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r"
+        argv = {"train": ["train", "--out", str(out)],
+                "eval": ["eval", "--proposals", str(tmp_path / "p.json"),
+                         "--out", str(out)]}[command]
+        assert cli.main(argv + ["--config", str(path),
+                                "--dataset", str(workspace["data"])]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert all(name in err for name in names), err
+        assert not out.exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.dictionaries(st.sampled_from(SECTION_FIELDS),
+                                  JSON_VALUES, min_size=1, max_size=3))
+    def test_any_section_value_exits_0_or_2(self, workspace, proposals,
+                                            values):
+        config = {}
+        for (section, key), value in values.items():
+            config.setdefault(section, {})[key] = value
+        path = workspace["root"] / "fuzz.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["eval", "--config", str(path),
+                         "--proposals", str(proposals),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(workspace["root"] / "fuzz")]) in (0, 2)
+
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         config = tmp_path / "broken.json"
         config.write_text('{\n  "seed": 1,\n}\n')
@@ -242,6 +332,56 @@ class TestLocalizeEval:
         assert "manifest.json" in err
         assert manifest["videos"][0]["id"] in err
         assert "split 'val'" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("label", "action_9"), ("label", None), ("score", None),
+        ("segment", None), ("score", float("nan")),
+        ("segment", [5.0, 1.0]), ("segment", [1.0]),
+        ("segment", [0.0, float("inf")]),
+    ], ids=["unknown-label", "no-label", "no-score", "no-segment",
+            "nan-score", "inverted-segment", "short-segment",
+            "infinite-segment"])
+    def test_bad_proposal_is_data_error(self, workspace, tmp_path, capsys,
+                                        key, value):
+        entry = {"label": "action_1", "score": 0.5, "segment": [1.0, 5.0]}
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"results": {"test_0000": [entry]}}))
+        assert cli.main(["eval", "--proposals", str(path),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(path) in err and "test_0000" in err
+        assert f"field {key!r}" in err
+
+    @pytest.mark.parametrize("edit,expected", [
+        (lambda videos: videos[1].pop("id"), "video #1: missing field 'id'"),
+        *[(lambda videos, key=key: videos[1].pop(key),
+           f"video train_0001: missing field {key!r}")
+          for key in ("T", "label", "rgb_file", "flow_file")],
+        (lambda videos: videos[1].update(id=videos[0]["id"]),
+         "video train_0000: repeated video id"),
+        (lambda videos: videos.__setitem__(1, "oops"),
+         "video #1 is not an object"),
+    ], ids=["no-id", "no-T", "no-label", "no-rgb_file", "no-flow_file",
+            "repeated-id", "not-object"])
+    def test_bad_manifest_entry(self, workspace, tmp_path, capsys, edit,
+                                expected):
+        data = tmp_path / "data"
+        synthdata.save(synthdata.load(workspace["data"]), data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        edit(manifest["videos"])
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["eval", "--proposals", str(tmp_path / "p.json"),
+                         "--dataset", str(data),
+                         "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "manifest.json" in err and expected in err
 
 
 def plot(workspace, out, *extra, split="train"):
@@ -349,3 +489,12 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "missing column 'pseudo_gt'" in err and str(plots) in err
+
+    def test_pseudo_gt_dir_of_other_split_is_data_error(self, workspace,
+                                                        tmp_path, capsys):
+        pdir = workspace["run"] / "pseudo_gt" / "iter1"
+        assert plot(workspace, tmp_path / "plots", "--pseudo-gt-dir",
+                    str(pdir), split="test") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(pdir) in err and "test video" in err

@@ -93,24 +93,24 @@ class TestMaxPoolSmooth:
 class TestMakePseudoGt:
     def test_hard_strict_at_threshold(self):
         gt = make_pseudo_gt([0.6, 0.5, 0.4], "hard", 0.5)
-        np.testing.assert_array_equal(gt.values, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(gt, [1.0, 0.0, 0.0])
 
     def test_hard_other_threshold(self):
         gt = make_pseudo_gt([0.56, 0.54], "hard", 0.55)
-        np.testing.assert_array_equal(gt.values, [1.0, 0.0])
+        np.testing.assert_array_equal(gt, [1.0, 0.0])
 
     def test_soft_copies_input(self):
         fused = np.array([0.2, 0.8, 0.5])
         gt = make_pseudo_gt(fused, "soft", 0.5)
-        np.testing.assert_array_equal(gt.values, fused)
+        np.testing.assert_array_equal(gt, fused)
         fused[0] = 0.9
-        assert gt.values[0] == 0.2
+        assert gt[0] == 0.2
 
     def test_hard_is_binary(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             gt = make_pseudo_gt(rng.uniform(size=20), "hard", 0.5)
-            assert set(np.unique(gt.values)) <= {0.0, 1.0}
+            assert set(np.unique(gt)) <= {0.0, 1.0}
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -206,18 +206,18 @@ class TestRunRefinement:
                                       epochs_refine=2)
         result = tiny_refinement(dataset.train, iterations=1)
         recomputed = compute_pseudo_gt(result.checkpoints[0], dataset.train,
-                                       refine_cfg, source_iteration=0)
+                                       refine_cfg)
         for vid, gt in result.pseudo_gt[1].items():
-            np.testing.assert_array_equal(gt.values, recomputed[vid].values)
+            np.testing.assert_array_equal(gt, recomputed[vid])
 
     def test_pseudo_gt_kind_contracts(self):
         dataset = tiny_dataset()
         hard = tiny_refinement(dataset.train, iterations=1, kind="hard")
         soft = tiny_refinement(dataset.train, iterations=1, kind="soft")
         for gt in hard.pseudo_gt[1].values():
-            assert set(np.unique(gt.values)) <= {0.0, 1.0}
+            assert set(np.unique(gt)) <= {0.0, 1.0}
         for gt in soft.pseudo_gt[1].values():
-            assert np.all((gt.values >= 0.0) & (gt.values <= 1.0))
+            assert np.all((gt >= 0.0) & (gt <= 1.0))
 
     def test_smoothing_applies_to_pseudo_gt(self):
         dataset = tiny_dataset()
@@ -227,8 +227,8 @@ class TestRunRefinement:
         # identical seeds: iteration-0 training matches, so the smoothed
         # pseudo GT must dominate the raw one elementwise
         for vid in plain.pseudo_gt[1]:
-            raw = plain.pseudo_gt[1][vid].values
-            pooled = smooth.pseudo_gt[1][vid].values
+            raw = plain.pseudo_gt[1][vid]
+            pooled = smooth.pseudo_gt[1][vid]
             assert np.all(pooled >= raw - 1e-12)
 
     def test_empty_training_set_rejected(self):

@@ -220,22 +220,22 @@ class TestPrecisionRecallF:
         props = [prop(start=0.0, end=1.0, score=0.9),
                  prop(start=50.0, end=51.0, score=0.8)]
         gts = [gt(start=0.0, end=1.0), gt(start=10.0, end=11.0)]
-        p, r, f = precision_recall_f(props, gts)
-        assert (p, r, f) == (0.5, 0.5, 0.5)
+        p, r, f, tp = precision_recall_f(props, gts)
+        assert (p, r, f, tp) == (0.5, 0.5, 0.5, 1)
 
     def test_perfect(self):
         props = [prop(score=0.9)]
-        p, r, f = precision_recall_f(props, [gt()])
-        assert (p, r, f) == (1.0, 1.0, 1.0)
+        p, r, f, tp = precision_recall_f(props, [gt()])
+        assert (p, r, f, tp) == (1.0, 1.0, 1.0, 1)
 
     def test_zero_proposals(self):
-        assert precision_recall_f([], [gt()]) == (0.0, 0.0, 0.0)
+        assert precision_recall_f([], [gt()]) == (0.0, 0.0, 0.0, 0)
 
     def test_matching_is_per_class(self):
         props = [prop(category=2, score=0.9)]
         gts = [gt(category=1)]
-        p, r, f = precision_recall_f(props, gts)
-        assert (p, r, f) == (0.0, 0.0, 0.0)
+        p, r, f, tp = precision_recall_f(props, gts)
+        assert (p, r, f, tp) == (0.0, 0.0, 0.0, 0)
 
 
 class TestEvaluateReport:
