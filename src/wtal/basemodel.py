@@ -4,6 +4,7 @@ activation map (forward and exact backward).
 """
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from . import numkit
 from .numkit import ShapeError
+from .synthdata import DataError
 
 CHECKPOINT_MAGIC = "wtal-checkpoint-v1"
 
@@ -26,46 +28,90 @@ class ModelConfig:
     def __post_init__(self):
         if self.embed_dim is None:
             self.embed_dim = self.feature_dim
+        for name, value in asdict(self).items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer")
         if self.kernel_size % 2 == 0 or self.kernel_size < 1:
             raise ValueError("kernel_size must be odd")
-        if self.conv_layers < 1 or self.embed_dim < 1:
-            raise ValueError("conv_layers and embed_dim must be >= 1")
+        if min(self.feature_dim, self.conv_layers, self.embed_dim) < 1:
+            raise ValueError("feature_dim, conv_layers and embed_dim must "
+                             "be >= 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
 
 
+def param_layout(config):
+    """Ordered (name, shape) of one stream's parameters: their order in
+    the flat parameter vector and the order of the initial random draws."""
+    k, d, c = config.kernel_size, config.embed_dim, config.num_classes
+    layout = []
+    d_in = config.feature_dim
+    for layer in range(config.conv_layers):
+        layout += [(f"conv{layer}_w", (k, d_in, d)), (f"conv{layer}_b", (d,))]
+        d_in = d
+    return layout + [("att_w", (d,)), ("att_b", ()), ("cls_w", (d, c)),
+                     ("cls_b", (c,))]
+
+
+def _views(flat, layout):
+    """{name: view of flat shaped as in layout}."""
+    views = {}
+    offset = 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 @dataclass
 class StreamModel:
-    """Parameters of one stream. The two streams never share parameters."""
+    """Parameters of one stream. The two streams never share parameters.
+
+    They live in one float64 vector ``flat``; ``params`` maps each name of
+    ``param_layout(config)`` to a view into it. A ``params`` dict given to
+    the constructor is copied into that layout; without one every
+    parameter is zero.
+    """
 
     config: ModelConfig
     modality: str
     params: dict = field(default_factory=dict)
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        layout = param_layout(self.config)
+        given = self.params
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
+        self.params = _views(self.flat, layout)
+        if not given:
+            return
+        if set(given) != set(self.params):
+            raise ShapeError(f"parameter names {sorted(given)} do not match "
+                             f"{sorted(self.params)}")
+        for name, view in self.params.items():
+            if np.shape(given[name]) != view.shape:
+                raise ShapeError(f"parameter {name!r} has shape "
+                                 f"{np.shape(given[name])}, expected "
+                                 f"{view.shape}")
+            view[...] = given[name]
 
     @staticmethod
     def initialize(config, modality, rng):
-        """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights, zero biases."""
-        params = {}
-        d_in = config.feature_dim
-        k = config.kernel_size
-        for layer in range(config.conv_layers):
-            d_out = config.embed_dim
-            bound = 1.0 / np.sqrt(k * d_in)
-            params[f"conv{layer}_w"] = rng.uniform(-bound, bound,
-                                                   size=(k, d_in, d_out))
-            params[f"conv{layer}_b"] = np.zeros(d_out)
-            d_in = d_out
-        d = config.embed_dim
-        bound = 1.0 / np.sqrt(d)
-        params["att_w"] = rng.uniform(-bound, bound, size=d)
-        params["att_b"] = np.array(0.0)
-        params["cls_w"] = rng.uniform(-bound, bound,
-                                      size=(d, config.num_classes))
-        params["cls_b"] = np.zeros(config.num_classes)
-        return StreamModel(config=config, modality=modality, params=params)
+        """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights, zero biases.
+        A weight's fan-in is the product of all but its last axis, or the
+        length of the 1-D attention weight."""
+        model = StreamModel(config=config, modality=modality)
+        for name, shape in param_layout(config):
+            if name.endswith("_w"):
+                fan_in = math.prod(shape[:-1]) if len(shape) > 1 else shape[0]
+                bound = 1.0 / np.sqrt(fan_in)
+                model.params[name][...] = rng.uniform(-bound, bound,
+                                                      size=shape)
+        return model
 
     def clone_params(self):
-        return {k: v.copy() for k, v in self.params.items()}
+        return self.flat.copy()
 
 
 @dataclass
@@ -111,13 +157,21 @@ def forward(model, features):
                        conv_inputs=conv_inputs, conv_preacts=conv_preacts)
 
 
-def backward(model, fp, d_attention=None, d_prediction=None, d_tcam=None):
+def backward(model, fp, d_attention=None, d_prediction=None, d_tcam=None,
+             out=None):
     """Exact parameter gradients given upstream gradients of the losses
     w.r.t. attention, video prediction, and T-CAM (any subset).
+
+    The gradient is written into ``out``, a vector shaped like
+    ``model.flat`` (a new one when None), and returned as a dict of named
+    views into it.
     """
+    if out is None:
+        out = np.empty_like(model.flat)
+    out.fill(0.0)
+    grads = _views(out, param_layout(model.config))
     embedded = fp.embedded
     attention = fp.attention
-    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
     d_embedded = np.zeros_like(embedded)
     d_att = np.zeros_like(attention)
     if d_attention is not None:
@@ -151,7 +205,8 @@ def backward(model, fp, d_attention=None, d_prediction=None, d_tcam=None):
     for layer in reversed(range(model.config.conv_layers)):
         d_pre = numkit.relu_backward(fp.conv_preacts[layer], d_x)
         d_x, d_w, d_b = numkit.temporal_conv_backward(
-            fp.conv_inputs[layer], model.params[f"conv{layer}_w"], d_pre)
+            fp.conv_inputs[layer], model.params[f"conv{layer}_w"], d_pre,
+            need_input=layer > 0)
         grads[f"conv{layer}_w"] += d_w
         grads[f"conv{layer}_b"] += d_b
     return grads
@@ -160,13 +215,19 @@ def backward(model, fp, d_attention=None, d_prediction=None, d_tcam=None):
 # ---------------------------------------------------------------------------
 # checkpoint I/O: JSON header + raw little-endian float64 parameter block
 
+def _header_params(config):
+    """The checkpoint header's parameter list: sorted by name, which is
+    also the order of the blocks after the header."""
+    return [{"name": name, "shape": list(shape)}
+            for name, shape in sorted(param_layout(config))]
+
+
 def save_checkpoint(path, model, meta=None):
     header = {
         "format": CHECKPOINT_MAGIC,
         "modality": model.modality,
         "config": asdict(model.config),
-        "params": [{"name": k, "shape": list(np.shape(v))}
-                   for k, v in sorted(model.params.items())],
+        "params": _header_params(model.config),
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -179,26 +240,59 @@ def save_checkpoint(path, model, meta=None):
             fh.write(arr.tobytes())
 
 
+_HEADER_FIELDS = (("modality", str, "a string"), ("config", dict, "an object"),
+                  ("params", list, "a list"), ("meta", dict, "an object"))
+
+
 def load_checkpoint(path):
-    """Load a checkpoint; returns (StreamModel, meta dict)."""
+    """Load a checkpoint; returns (StreamModel, meta dict). A file that is
+    not exactly a header plus the parameter blocks its config implies is
+    a DataError naming the path and the field."""
     with open(path, "rb") as fh:
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise ValueError(f"{path}: truncated checkpoint")
-        (hlen,) = struct.unpack("<I", raw)
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format") != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
+        data = fh.read()
+    if len(data) < 4:
+        raise DataError(f"{path}: truncated checkpoint")
+    (hlen,) = struct.unpack_from("<I", data)
+    offset = 4 + hlen
+    try:
+        header = json.loads(data[4:offset].decode("utf-8"))
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or \
+            header.get("format") != CHECKPOINT_MAGIC:
+        raise DataError(f"{path}: not a model checkpoint (field 'format' "
+                        f"is not {CHECKPOINT_MAGIC!r})")
+    for key, kind, what in _HEADER_FIELDS:
+        if not isinstance(header.get(key), kind):
+            raise DataError(f"{path}: field {key!r} is missing or not "
+                            f"{what}")
+    try:
         config = ModelConfig(**header["config"])
-        params = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = fh.read(8 * count)
-            if len(data) != 8 * count:
-                raise ValueError(f"{path}: truncated parameter block")
-            params[entry["name"]] = np.frombuffer(
-                data, dtype="<f8").astype(np.float64).reshape(shape)
-    model = StreamModel(config=config, modality=header["modality"],
-                        params=params)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: field 'config': {exc}") from exc
+    expected = _header_params(config)
+    if header["params"] != expected:
+        listed = {e["name"]: e.get("shape") for e in header["params"]
+                  if isinstance(e, dict) and isinstance(e.get("name"), str)}
+        for entry in expected:
+            name, shape = entry["name"], entry["shape"]
+            if listed.get(name) != shape:
+                found = (f"has shape {listed[name]}" if name in listed
+                         else "is missing")
+                raise DataError(f"{path}: field 'params': parameter "
+                                f"{name!r} {found}, expected shape {shape} "
+                                "from field 'config'")
+        raise DataError(f"{path}: field 'params' is not the sorted "
+                        "parameter list of field 'config'")
+    size = 8 * sum(math.prod(e["shape"]) for e in expected)
+    if len(data) - offset != size:
+        raise DataError(f"{path}: parameter block has "
+                        f"{max(len(data) - offset, 0)} bytes, expected "
+                        f"{size}")
+    model = StreamModel(config=config, modality=header["modality"])
+    for entry in expected:
+        view = model.params[entry["name"]]
+        view[...] = np.frombuffer(data, dtype="<f8", count=view.size,
+                                  offset=offset).reshape(view.shape)
+        offset += 8 * view.size
     return model, header["meta"]

@@ -128,9 +128,10 @@ def load_run_config(path=None, overrides=None):
     return cfg
 
 
-def resolved_config(cfg, dataset):
+def resolved_config(cfg, dataset, path):
     """{section name: config object} for every section in SECTIONS; a
-    value the section's constructor rejects is a DataError."""
+    value the section's constructor rejects is a DataError naming the
+    config file path."""
     sections = {}
     for name, cls in SECTIONS.items():
         values = dict(getattr(cfg, name))
@@ -140,7 +141,8 @@ def resolved_config(cfg, dataset):
         try:
             sections[name] = cls(**values)
         except (TypeError, ValueError) as exc:
-            raise DataError(f"config section {name!r}: {exc}") from exc
+            raise DataError(f"{path}: config section {name!r}: "
+                            f"{exc}") from exc
     return sections
 
 
@@ -198,7 +200,7 @@ def cmd_train(args):
                                         "output_dir": args.out,
                                         "seed": args.seed})
     dataset = synthdata.load(cfg.dataset)
-    sections = resolved_config(cfg, dataset)
+    sections = resolved_config(cfg, dataset, args.config)
     refine_cfg = sections["refinement"]
     os.makedirs(cfg.output_dir, exist_ok=True)
     write_resolved_config(cfg, os.path.join(cfg.output_dir,
@@ -233,7 +235,7 @@ def _load_inference_inputs(args):
     the chosen split, for localize and plot."""
     cfg = load_run_config(args.config)
     dataset = synthdata.load(args.dataset)
-    sections = resolved_config(cfg, dataset)
+    sections = resolved_config(cfg, dataset, args.config)
     models = {}
     for stream in STREAMS:
         path = getattr(args, f"checkpoint_{stream}")
@@ -263,7 +265,7 @@ def cmd_localize(args):
 def cmd_eval(args):
     cfg = load_run_config(args.config)
     dataset = synthdata.load(args.dataset)
-    sections = resolved_config(cfg, dataset)
+    sections = resolved_config(cfg, dataset, args.config)
     gts = evaluation.gt_from_videos(getattr(dataset, args.split))
     proposals = localization.load_proposals(args.proposals,
                                             dataset.class_names)

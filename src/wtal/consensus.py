@@ -168,10 +168,12 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
     """Train one stream for one refinement iteration with a fresh Adam
     state (one whole video per optimizer step, seeded shuffle per epoch).
 
-    Returns (best_params, best_info) by lowest epoch-mean total loss.
+    Returns (best_params, best_info) by lowest epoch-mean total loss;
+    best_params is a copy of the model's flat parameter vector.
     """
-    state = numkit.adam_init(model.params,
+    state = numkit.adam_init(model.flat,
                              learning_rate=refine_cfg.learning_rate)
+    grad = np.empty_like(model.flat)
     best_loss = np.inf
     best_params = model.clone_params()
     best_epoch = -1
@@ -199,9 +201,9 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
             if not np.isfinite(total):
                 raise NumericError(model.modality, iteration, epoch,
                                    video.id)
-            grads = basemodel.backward(model, fp, d_attention=d_att,
-                                       d_prediction=d_pred)
-            numkit.adam_step(model.params, grads, state)
+            basemodel.backward(model, fp, d_attention=d_att,
+                               d_prediction=d_pred, out=grad)
+            numkit.adam_step(model.flat, grad, state)
             sums += (cls_val, att_val, gt_val or 0.0)
         means = sums / n
         gt_mean = float(means[2]) if pseudo is not None else None
@@ -251,8 +253,9 @@ def run_refinement(train_videos, model_cfg, loss_cfg, refine_cfg, seed):
                 models[stream], train_videos, pseudo, iteration, epochs,
                 loss_cfg, refine_cfg, shuffle_rngs[stream],
                 result.log_rows)
-            snapshot[stream] = basemodel.StreamModel(
-                config=model_cfg, modality=stream, params=best_params)
+            snapshot[stream] = basemodel.StreamModel(config=model_cfg,
+                                                     modality=stream)
+            snapshot[stream].flat[...] = best_params
             meta[stream] = info
         result.checkpoints.append(snapshot)
         result.checkpoint_meta.append(meta)

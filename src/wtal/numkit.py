@@ -5,7 +5,7 @@ All arrays are float64 numpy arrays. Every backward function is a pure
 function of the recorded forward inputs, so there is no tape.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +49,12 @@ def temporal_conv_forward(inp, weights, bias):
     return out
 
 
-def temporal_conv_backward(inp, weights, d_out):
-    """Gradients of temporal_conv_forward w.r.t. input, weights, bias."""
+def temporal_conv_backward(inp, weights, d_out, need_input=True):
+    """Gradients of temporal_conv_forward w.r.t. input, weights, bias.
+
+    With need_input false the input gradient is not computed and comes
+    back as None (the first layer of a model has no use for it).
+    """
     inp = _as_f64(inp)
     weights = _as_f64(weights)
     d_out = _as_f64(d_out)
@@ -60,11 +64,14 @@ def temporal_conv_backward(inp, weights, d_out):
     padded = np.zeros((t + 2 * half, d_in))
     padded[half:half + t] = inp
     d_weights = np.empty_like(weights)
-    d_padded = np.zeros_like(padded)
     for j in range(k):
         d_weights[j] = padded[j:j + t].T @ d_out
-        d_padded[j:j + t] += d_out @ weights[j].T
     d_bias = d_out.sum(axis=0)
+    if not need_input:
+        return None, d_weights, d_bias
+    d_padded = np.zeros_like(padded)
+    for j in range(k):
+        d_padded[j:j + t] += d_out @ weights[j].T
     return d_padded[half:half + t], d_weights, d_bias
 
 
@@ -147,48 +154,44 @@ def softmax_backward(probs, d_probs):
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam optimizer state over a dict of named parameters."""
+    """Bias-corrected Adam optimizer state over one flat parameter vector."""
 
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     learning_rate: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
 
 
 def adam_init(params, learning_rate=1e-4, beta1=0.9, beta2=0.999,
               epsilon=1e-8):
-    state = AdamState(learning_rate=learning_rate, beta1=beta1, beta2=beta2,
-                      epsilon=epsilon)
-    for name, value in params.items():
-        state.first_moment[name] = np.zeros_like(value)
-        state.second_moment[name] = np.zeros_like(value)
-    return state
+    """Fresh state for the float64 parameter vector params."""
+    return AdamState(first_moment=np.zeros_like(params),
+                     second_moment=np.zeros_like(params),
+                     learning_rate=learning_rate, beta1=beta1, beta2=beta2,
+                     epsilon=epsilon)
 
 
 def adam_step(params, grads, state):
-    """One in-place Adam update; returns (params, state) for convenience."""
-    if set(params) != set(grads):
-        raise ShapeError("adam_step: parameter and gradient keys differ")
+    """One in-place Adam update of the vector params given the vector
+    grads; returns (params, state) for convenience."""
+    if np.shape(grads) != np.shape(params):
+        raise ShapeError("adam_step: parameter and gradient shapes differ")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if np.shape(g) != np.shape(p):
-            raise ShapeError(f"adam_step: shape mismatch for {name!r}")
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m = state.first_moment
+    v = state.second_moment
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * np.square(grads)
+    m_hat = m / bc1
+    v_hat = v / bc2
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
     return params, state
 
 

@@ -271,6 +271,15 @@ def _read_features(path, t, d):
     return values.astype(np.float64).reshape(t, d)
 
 
+def _integer(where, key, value, least):
+    """value if it is a JSON integer >= least, else a DataError naming
+    where and the field key."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DataError(f"{where}: field {key!r} is {json.dumps(value)}, "
+                        f"expected an integer >= {least}")
+    return value
+
+
 def load(directory):
     manifest_path = os.path.join(directory, "manifest.json")
     try:
@@ -280,15 +289,21 @@ def load(directory):
         raise DataError(f"missing manifest: {manifest_path}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    try:
-        c = int(manifest["C"])
-        d = int(manifest["D"])
-        class_names = list(manifest["class_names"])
-        entries = manifest["videos"]
-    except KeyError as exc:
-        raise DataError(f"{manifest_path}: missing field {exc}") from exc
-    if len(class_names) != c:
-        raise DataError("class_names length disagrees with C")
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: expected a JSON object")
+    for key in ("C", "D", "class_names", "videos"):
+        if key not in manifest:
+            raise DataError(f"{manifest_path}: missing field {key!r}")
+    c = _integer(manifest_path, "C", manifest["C"], least=2)
+    d = _integer(manifest_path, "D", manifest["D"], least=1)
+    class_names = manifest["class_names"]
+    entries = manifest["videos"]
+    if not (isinstance(class_names, list) and len(class_names) == c
+            and all(isinstance(name, str) for name in class_names)):
+        raise DataError(f"{manifest_path}: field 'class_names' is not a "
+                        f"list of C = {c} strings")
+    if not isinstance(entries, list):
+        raise DataError(f"{manifest_path}: field 'videos' is not a list")
     splits = {"train": [], "test": []}
     seen = set()
     for index, entry in enumerate(entries):
@@ -299,27 +314,39 @@ def load(directory):
         for key in ("id", "T", "label", "rgb_file", "flow_file"):
             if key not in entry:
                 raise DataError(f"{where}: missing field {key!r}")
+        for key in ("id", "rgb_file", "flow_file"):
+            if not isinstance(entry[key], str):
+                raise DataError(f"{where}: field {key!r} is "
+                                f"{json.dumps(entry[key])}, expected a string")
         if entry["id"] in seen:
             raise DataError(f"{where}: repeated video id")
         seen.add(entry["id"])
         split = entry.get("split", "train")
-        if split not in splits:
+        if split not in ("train", "test"):
             raise DataError(f"{where}: unknown split {split!r} (expected "
                             "'train' or 'test')")
-        t = int(entry["T"])
-        label = np.asarray(entry["label"], dtype=np.float64)
-        if label.shape != (c,):
-            raise DataError(f"video {entry['id']}: bad label length")
+        t = _integer(where, "T", entry["T"], least=1)
+        label = entry["label"]
+        if not (isinstance(label, list) and len(label) == c
+                and all(map(finite_number, label))):
+            raise DataError(f"{where}: field 'label' is not a list of {c} "
+                            "finite numbers")
+        label = np.asarray(label, dtype=np.float64)
         rgb = _read_features(os.path.join(directory, entry["rgb_file"]), t, d)
         flow = _read_features(os.path.join(directory, entry["flow_file"]),
                               t, d)
         gt = entry.get("gt_segments")
         if gt is not None:
-            gt = [(int(s), int(e), int(cat)) for s, e, cat in gt]
+            if not (isinstance(gt, list) and all(
+                    isinstance(seg, list) and len(seg) == 3
+                    and all(type(v) is int for v in seg) for seg in gt)):
+                raise DataError(f"{where}: field 'gt_segments' is not a "
+                                "list of [start, end, category] integers")
+            gt = [tuple(seg) for seg in gt]
             for s, e, cat in gt:
                 if not (1 <= s <= e <= t) or not (1 <= cat <= c):
-                    raise DataError(
-                        f"video {entry['id']}: invalid gt segment")
+                    raise DataError(f"{where}: field 'gt_segments' holds "
+                                    f"invalid segment {[s, e, cat]}")
         sample = VideoSample(id=entry["id"], label=label, rgb=rgb,
                              flow=flow, gt_segments=gt)
         splits[split].append(sample)

@@ -67,6 +67,41 @@ class TestForward:
         for key in a:
             np.testing.assert_array_equal(a[key], b[key])
 
+    def test_params_are_views_of_flat(self):
+        model = make_model(embed_dim=5)
+        assert model.flat.ndim == 1
+        assert [(k, v.shape) for k, v in model.params.items()] == \
+            basemodel.param_layout(model.config)
+        assert sum(v.size for v in model.params.values()) == model.flat.size
+        for value in model.params.values():
+            assert np.shares_memory(value, model.flat)
+        model.flat[:] = np.arange(model.flat.size)
+        offset = 0
+        for value in model.params.values():
+            np.testing.assert_array_equal(
+                value.ravel(), np.arange(offset, offset + value.size))
+            offset += value.size
+
+    def test_constructor_copies_params_into_flat(self):
+        model = make_model(seed=3)
+        copy = StreamModel(config=model.config, modality="rgb",
+                           params=model.params)
+        np.testing.assert_array_equal(copy.flat, model.flat)
+        assert not np.shares_memory(copy.flat, model.flat)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.pop("att_b"),
+        lambda p: p.update(extra=np.zeros(2)),
+        lambda p: p.update(cls_b=np.zeros(4)),
+        lambda p: p.update(att_b=np.zeros(1)),
+    ], ids=["missing", "extra", "wrong-shape", "broadcastable-shape"])
+    def test_constructor_rejects_other_layout(self, edit):
+        model = make_model()
+        params = dict(model.params)
+        edit(params)
+        with pytest.raises(ShapeError):
+            StreamModel(config=model.config, modality="rgb", params=params)
+
     def test_streams_do_not_share_parameters(self):
         config = ModelConfig(feature_dim=4, num_classes=3)
         rng = np.random.default_rng(0)
@@ -130,6 +165,22 @@ class TestBackward:
                                 d_prediction=2 * d_pred)
         for key in g1:
             np.testing.assert_allclose(g2[key], 2.0 * g1[key], atol=1e-12)
+
+    def test_out_buffer_is_zero_filled(self):
+        model = make_model()
+        rng = np.random.default_rng(8)
+        fp = basemodel.forward(model, rng.normal(size=(5, 4)))
+        upstream = {"d_attention": rng.normal(size=5),
+                    "d_prediction": rng.normal(size=3),
+                    "d_tcam": rng.normal(size=(5, 3))}
+        fresh = basemodel.backward(model, fp, **upstream)
+        buf = np.full_like(model.flat, np.nan)
+        buf[::2] = 1e300
+        reused = basemodel.backward(model, fp, out=buf, **upstream)
+        assert list(reused) == list(fresh)
+        for key in fresh:
+            assert np.shares_memory(reused[key], buf)
+            np.testing.assert_array_equal(reused[key], fresh[key])
 
     def test_tcam_path_finite_difference(self):
         rng = np.random.default_rng(7)

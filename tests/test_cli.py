@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -189,12 +190,13 @@ class TestTrain:
         ({"refinement": {"learning_rate": -1}},
          ["'refinement'", "learning_rate"]),
         ({"localization": {"top_k": 0}}, ["'localization'", "top_k"]),
+        ({"refinement": {"beta": 1.5}}, ["'refinement'", "beta"]),
     ], ids=["model-not-object", "beta-string", "iterations-float",
             "upsample-float", "s-float", "seed-string", "evaluation-typo",
             "thresholds-scalar", "threshold-above-1", "threshold-string",
             "threshold-repeated", "generator-section", "top-level-list",
             "embed-dim-0", "epochs-0", "smoothing-negative",
-            "learning-rate-negative", "top-k-0"])
+            "learning-rate-negative", "top-k-0", "beta-above-1"])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_bad_config_is_one_line_data_error(self, workspace, tmp_path,
                                                capsys, command, config,
@@ -209,6 +211,7 @@ class TestTrain:
                                 "--dataset", str(workspace["data"])]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: "), err
         assert all(name in err for name in names), err
         assert not out.exists()
 
@@ -367,8 +370,29 @@ class TestLocalizeEval:
          "video train_0000: repeated video id"),
         (lambda videos: videos.__setitem__(1, "oops"),
          "video #1 is not an object"),
+        (lambda videos: videos[1].update(T="abc"),
+         "video train_0001: field 'T' is \"abc\""),
+        (lambda videos: videos[1].update(T=0),
+         "video train_0001: field 'T' is 0"),
+        (lambda videos: videos[1].update(label=[1, 0]),
+         "video train_0001: field 'label'"),
+        (lambda videos: videos[1].update(label="abc"),
+         "video train_0001: field 'label'"),
+        (lambda videos: videos[1].update(id=[1]), "field 'id' is [1]"),
+        (lambda videos: videos[1].update(rgb_file=5),
+         "video train_0001: field 'rgb_file' is 5"),
+        (lambda videos: videos[1].update(split=["test"]),
+         "video train_0001: unknown split"),
+        (lambda videos: videos[1].update(gt_segments=5),
+         "video train_0001: field 'gt_segments'"),
+        (lambda videos: videos[1].update(gt_segments=[[1, 2]]),
+         "video train_0001: field 'gt_segments'"),
+        (lambda videos: videos[1].update(gt_segments=[[1, 2, 9]]),
+         "video train_0001: field 'gt_segments' holds invalid segment"),
     ], ids=["no-id", "no-T", "no-label", "no-rgb_file", "no-flow_file",
-            "repeated-id", "not-object"])
+            "repeated-id", "not-object", "T-string", "T-zero",
+            "label-short", "label-string", "id-list", "rgb_file-number",
+            "split-list", "gt-number", "gt-pair", "gt-category"])
     def test_bad_manifest_entry(self, workspace, tmp_path, capsys, edit,
                                 expected):
         data = tmp_path / "data"
@@ -382,6 +406,62 @@ class TestLocalizeEval:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "manifest.json" in err and expected in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("C", "3"), ("C", 1), ("D", 8.0), ("D", True),
+        ("class_names", 5), ("class_names", ["a", "b"]), ("videos", 5),
+    ], ids=["C-string", "C-one", "D-float", "D-bool", "class-names-number",
+            "class-names-short", "videos-number"])
+    def test_bad_manifest_field(self, workspace, tmp_path, capsys, key,
+                                value):
+        data = tmp_path / "data"
+        synthdata.save(synthdata.load(workspace["data"]), data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest[key] = value
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["eval", "--proposals", str(tmp_path / "p.json"),
+                         "--dataset", str(data),
+                         "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"manifest.json: field {key!r} is " in err
+
+    @pytest.mark.parametrize("edit,names", [
+        *[(lambda header, body, key=key: header.pop(key), [repr(key)])
+          for key in ("format", "modality", "config", "params", "meta")],
+        (lambda header, body: header["params"].pop(0),
+         ["'params'", "'att_b' is missing"]),
+        (lambda header, body: header["params"][2].update(shape=[4]),
+         ["'params'", "'cls_b' has shape [4]"]),
+        (lambda header, body: header["config"].update(embed_dim=4),
+         ["'params'", "from field 'config'"]),
+        (lambda header, body: header["config"].update(kernel_size="3"),
+         ["'config'", "kernel_size"]),
+        (lambda header, body: body.extend(b"\0" * 8),
+         ["parameter block"]),
+    ], ids=["no-format", "no-modality", "no-config", "no-params", "no-meta",
+            "param-missing", "param-shape", "config-narrower",
+            "config-type", "trailing-bytes"])
+    def test_bad_checkpoint_is_data_error(self, workspace, tmp_path, capsys,
+                                          edit, names):
+        run_dir = workspace["run"]
+        data = (run_dir / "iter1_rgb.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<I", data[:4])
+        header = json.loads(data[4:4 + hlen])
+        body = bytearray(data[4 + hlen:])
+        edit(header, body)
+        blob = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(struct.pack("<I", len(blob)) + blob + body)
+        assert cli.main(["localize", "--checkpoint-rgb", str(bad),
+                         "--checkpoint-flow",
+                         str(run_dir / "iter1_flow.ckpt"),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(tmp_path / "p.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: "), err
+        assert all(name in err for name in names), err
 
 
 def plot(workspace, out, *extra, split="train"):

@@ -44,6 +44,18 @@ class TestTemporalConv:
             numkit.temporal_conv_forward(np.ones((0, 2)),
                                          np.ones((3, 2, 2)), np.zeros(2))
 
+    def test_backward_without_input_gradient(self):
+        rng = np.random.default_rng(4)
+        inp = rng.normal(size=(6, 3))
+        w = rng.normal(size=(3, 3, 2))
+        d_out = rng.normal(size=(6, 2))
+        _, d_w, d_b = numkit.temporal_conv_backward(inp, w, d_out)
+        d_inp, d_w2, d_b2 = numkit.temporal_conv_backward(
+            inp, w, d_out, need_input=False)
+        assert d_inp is None
+        np.testing.assert_array_equal(d_w2, d_w)
+        np.testing.assert_array_equal(d_b2, d_b)
+
 
 class TestFc:
     def test_identity(self):
@@ -183,35 +195,62 @@ class TestBackwardFiniteDifference:
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):
-        params = {"p": np.array([1.0, -2.0])}
+        params = np.array([1.0, -2.0])
         state = numkit.adam_init(params)
-        numkit.adam_step(params, {"p": np.zeros(2)}, state)
-        np.testing.assert_allclose(params["p"], [1.0, -2.0])
+        numkit.adam_step(params, np.zeros(2), state)
+        np.testing.assert_allclose(params, [1.0, -2.0])
         assert state.step_count == 1
 
     def test_first_step_bias_correction(self):
         # with g=1 the bias-corrected moments are both 1, so the update
         # is the learning rate (up to epsilon)
-        params = {"p": np.array([0.0])}
+        params = np.array([0.0])
         state = numkit.adam_init(params, learning_rate=1e-4)
-        numkit.adam_step(params, {"p": np.array([1.0])}, state)
-        np.testing.assert_allclose(params["p"], [-1e-4], rtol=1e-6)
+        numkit.adam_step(params, np.array([1.0]), state)
+        np.testing.assert_allclose(params, [-1e-4], rtol=1e-6)
 
     def test_constant_gradient_monotone(self):
-        params = {"p": np.array([1.0])}
+        params = np.array([1.0])
         state = numkit.adam_init(params, learning_rate=0.01)
-        seen = [params["p"][0]]
+        seen = [params[0]]
         for _ in range(5):
-            numkit.adam_step(params, {"p": np.array([2.0])}, state)
-            seen.append(params["p"][0])
+            numkit.adam_step(params, np.array([2.0]), state)
+            seen.append(params[0])
         assert all(b < a for a, b in zip(seen, seen[1:]))
 
     def test_shape_mismatch(self):
-        params = {"p": np.zeros(3)}
+        params = np.zeros(3)
         state = numkit.adam_init(params)
         with pytest.raises(ShapeError):
-            numkit.adam_step(params, {"p": np.zeros(2)}, state)
+            numkit.adam_step(params, np.zeros(2), state)
 
+    def test_flat_step_matches_per_name_reference(self):
+        """The flat update gives the bits of the same update applied to
+        each named array on its own."""
+        rng = np.random.default_rng(11)
+        shapes = {"w": (3, 4, 2), "b": (2,), "s": ()}
+        named = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        flat = np.concatenate([v.ravel() for v in named.values()])
+        lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+        moments = {k: (np.zeros_like(v), np.zeros_like(v))
+                   for k, v in named.items()}
+        state = numkit.adam_init(flat, learning_rate=lr)
+        for t in range(1, 8):
+            grads = {k: rng.normal(size=v.shape) for k, v in named.items()}
+            numkit.adam_step(
+                flat, np.concatenate([g.ravel() for g in grads.values()]),
+                state)
+            bc1 = 1.0 - beta1 ** t
+            bc2 = 1.0 - beta2 ** t
+            for k, p in named.items():
+                m, v = moments[k]
+                m *= beta1
+                m += (1.0 - beta1) * grads[k]
+                v *= beta2
+                v += (1.0 - beta2) * np.square(grads[k])
+                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            np.testing.assert_array_equal(
+                flat, np.concatenate([v.ravel() for v in named.values()]))
 
 class TestGradCheck:
     def test_quadratic(self):
