@@ -6,7 +6,9 @@ activation map (forward and exact backward).
 import json
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -68,22 +70,24 @@ def _views(flat, layout):
 class StreamModel:
     """Parameters of one stream. The two streams never share parameters.
 
-    They live in one float64 vector ``flat``; ``params`` maps each name of
-    ``param_layout(config)`` to a view into it. A ``params`` dict given to
-    the constructor is copied into that layout; without one every
-    parameter is zero.
+    They live in one float64 vector ``flat``; ``params`` is a read-only
+    mapping from each name of ``param_layout(config)`` to a view into it,
+    so a parameter is written through its view
+    (``model.params[name][...] = value``) and never detached from
+    ``flat``. A ``params`` dict given to the constructor is copied into
+    that layout; without one every parameter is zero.
     """
 
     config: ModelConfig
     modality: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         layout = param_layout(self.config)
         given = self.params
         self.flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
-        self.params = _views(self.flat, layout)
+        self.params = MappingProxyType(_views(self.flat, layout))
         if not given:
             return
         if set(given) != set(self.params):
@@ -162,14 +166,17 @@ def backward(model, fp, d_attention=None, d_prediction=None, d_tcam=None,
     """Exact parameter gradients given upstream gradients of the losses
     w.r.t. attention, video prediction, and T-CAM (any subset).
 
-    The gradient is written into ``out``, a vector shaped like
-    ``model.flat`` (a new one when None), and returned as a dict of named
-    views into it.
+    The gradient overwrites the parameters of ``out``, a StreamModel of
+    the same config (a new one when None), and is returned as its
+    ``params``. Reusing ``out`` across calls reuses its named views.
     """
     if out is None:
-        out = np.empty_like(model.flat)
-    out.fill(0.0)
-    grads = _views(out, param_layout(model.config))
+        out = StreamModel(config=model.config, modality=model.modality)
+    elif out.config != model.config:
+        raise ShapeError("gradient buffer config does not match the model")
+    else:
+        out.flat.fill(0.0)
+    grads = dict(out.params)
     embedded = fp.embedded
     attention = fp.attention
     d_embedded = np.zeros_like(embedded)
@@ -209,7 +216,7 @@ def backward(model, fp, d_attention=None, d_prediction=None, d_tcam=None,
             need_input=layer > 0)
         grads[f"conv{layer}_w"] += d_w
         grads[f"conv{layer}_b"] += d_b
-    return grads
+    return out.params
 
 
 # ---------------------------------------------------------------------------

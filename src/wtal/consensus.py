@@ -173,7 +173,8 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
     """
     state = numkit.adam_init(model.flat,
                              learning_rate=refine_cfg.learning_rate)
-    grad = np.empty_like(model.flat)
+    grad = basemodel.StreamModel(config=model.config,
+                                 modality=model.modality)
     best_loss = np.inf
     best_params = model.clone_params()
     best_epoch = -1
@@ -203,7 +204,7 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
                                    video.id)
             basemodel.backward(model, fp, d_attention=d_att,
                                d_prediction=d_pred, out=grad)
-            numkit.adam_step(model.flat, grad, state)
+            numkit.adam_step(model.flat, grad.flat, state)
             sums += (cls_val, att_val, gt_val or 0.0)
         means = sums / n
         gt_mean = float(means[2]) if pseudo is not None else None

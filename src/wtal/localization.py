@@ -74,18 +74,13 @@ def select_categories(probs, top_k, floor):
 def extract_segments(attention, threshold):
     """Maximal runs of attention > threshold (strict), as 1-based
     inclusive index pairs, sorted and disjoint."""
-    mask = np.asarray(attention, dtype=np.float64) > threshold
-    segments = []
-    start = None
-    for i, on in enumerate(mask):
-        if on and start is None:
-            start = i
-        elif not on and start is not None:
-            segments.append((start + 1, i))
-            start = None
-    if start is not None:
-        segments.append((start + 1, len(mask)))
-    return segments
+    above = np.asarray(attention, dtype=np.float64) > threshold
+    # padded by off at both ends, the mask changes at each run's 0-based
+    # start and again at its 1-based inclusive end
+    mask = np.zeros(above.size + 2, dtype=bool)
+    mask[1:-1] = above
+    edges = np.flatnonzero(mask[1:] != mask[:-1])
+    return list(zip((edges[0::2] + 1).tolist(), edges[1::2].tolist()))
 
 
 def oic_score(start, end, weights):

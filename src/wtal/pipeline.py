@@ -4,6 +4,8 @@ plot-data emission (per-video attention CSV + SVG)."""
 import csv
 import os
 
+import numpy as np
+
 from . import basemodel, evaluation, localization
 from .consensus import STREAMS, fuse_attention
 
@@ -36,26 +38,37 @@ def evaluate_models(models, videos, loc_cfg, beta, thresholds, num_classes,
 
 def write_attention_csv(path, attention, factor, pseudo=None):
     """Per-video CSV of the upsampled (rgb, flow, fused) attention rows;
-    one row per upsampled time step (T * factor rows)."""
-    rgb, flow, fused = attention
+    one row per upsampled time step (T * factor rows). ``pseudo`` holds
+    one value per snippet. Every number is written as its shortest
+    round-trip ``repr``."""
+    n = len(attention[0])
+    columns = [((np.arange(n) + 0.5) / factor).tolist()]
+    columns += [np.asarray(a, dtype=np.float64).tolist() for a in attention]
     header = ["time", "attention_rgb", "attention_flow", "attention_fuse"]
     if pseudo is not None:
         header.append("pseudo_gt")
+        columns.append(np.repeat(np.asarray(pseudo, dtype=np.float64),
+                                 factor).tolist())
+    # csv writes a float as its repr and never quotes one, so one format
+    # per row gives csv.writer's bytes without its per-field checks
+    row = ",".join(["%r"] * len(columns)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j in range(len(rgb)):
-            row = [repr((j + 0.5) / factor), repr(float(rgb[j])),
-                   repr(float(flow[j])), repr(float(fused[j]))]
-            if pseudo is not None:
-                row.append(repr(float(pseudo[j // factor])))
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        fh.write("".join(map(row.__mod__, zip(*columns, strict=True))))
 
 
-def _svg_polyline(values, x_scale, y0, height, color):
-    points = " ".join(f"{(i + 0.5) * x_scale:.2f},"
-                      f"{y0 + height * (1.0 - v):.2f}"
-                      for i, v in enumerate(values))
+def _format_2f(values):
+    """``f"{v:.2f}"`` of each value of a float64 array, as a list."""
+    values = values.tolist()
+    return ("%.2f " * len(values) % tuple(values)).split()
+
+
+def _svg_polyline(x_points, values, y0, height, color):
+    """``x_points`` are the formatted x coordinates, each ending in a
+    comma."""
+    values = np.asarray(values, dtype=np.float64)
+    y_points = _format_2f(y0 + height * (1.0 - values))
+    points = " ".join(map(str.__add__, x_points, y_points))
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1" '
             f'points="{points}"/>')
 
@@ -70,7 +83,8 @@ def write_attention_svg(path, video, attention, proposals):
     pad = 10.0
     t = video.num_snippets
     x_per_snippet = width / t
-    x_per_step = width / len(rgb)
+    x_points = [x + "," for x in _format_2f(
+        (np.arange(len(rgb)) + 0.5) * (width / len(rgb)))]
     rows = [("rgb", rgb, "#d62728"), ("flow", flow, "#1f77b4"),
             ("fuse", fused, "#2ca02c")]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -87,7 +101,7 @@ def write_attention_svg(path, video, attention, proposals):
         y0 = pad + idx * (row_h + pad)
         parts.append(f'<text x="2" y="{y0 + 10:.2f}" font-size="10">'
                      f'{name}</text>')
-        parts.append(_svg_polyline(values, x_per_step, y0, row_h, color))
+        parts.append(_svg_polyline(x_points, values, y0, row_h, color))
     for p in proposals:
         x = p.start * x_per_snippet
         w = (p.end - p.start) * x_per_snippet

@@ -24,8 +24,8 @@ class TestForward:
 
     def test_zeroed_attention_head_pools_to_mean(self):
         model = make_model()
-        model.params["att_w"] = np.zeros_like(model.params["att_w"])
-        model.params["att_b"] = np.array(0.0)
+        model.params["att_w"][...] = np.zeros_like(model.params["att_w"])
+        model.params["att_b"][...] = np.array(0.0)
         fp = basemodel.forward(model,
                                np.random.default_rng(2).normal(size=(6, 4)))
         np.testing.assert_allclose(fp.attention, np.full(6, 0.5))
@@ -40,8 +40,8 @@ class TestForward:
 
     def test_zeroed_classifier_gives_uniform(self):
         model = make_model(num_classes=4)
-        model.params["cls_w"] = np.zeros_like(model.params["cls_w"])
-        model.params["cls_b"] = np.zeros_like(model.params["cls_b"])
+        model.params["cls_w"][...] = np.zeros_like(model.params["cls_w"])
+        model.params["cls_b"][...] = np.zeros_like(model.params["cls_b"])
         fp = basemodel.forward(model,
                                np.random.default_rng(4).normal(size=(5, 4)))
         np.testing.assert_allclose(fp.tcam, np.full((5, 4), 0.25))
@@ -88,6 +88,16 @@ class TestForward:
                            params=model.params)
         np.testing.assert_array_equal(copy.flat, model.flat)
         assert not np.shares_memory(copy.flat, model.flat)
+
+    def test_rebinding_a_param_raises(self):
+        model = make_model()
+        before = model.flat.copy()
+        with pytest.raises(TypeError):
+            model.params["att_w"] = np.zeros_like(model.params["att_w"])
+        with pytest.raises(TypeError):
+            del model.params["cls_b"]
+        np.testing.assert_array_equal(model.flat, before)
+        assert np.shares_memory(model.params["att_w"], model.flat)
 
     @pytest.mark.parametrize("edit", [
         lambda p: p.pop("att_b"),
@@ -174,13 +184,33 @@ class TestBackward:
                     "d_prediction": rng.normal(size=3),
                     "d_tcam": rng.normal(size=(5, 3))}
         fresh = basemodel.backward(model, fp, **upstream)
-        buf = np.full_like(model.flat, np.nan)
-        buf[::2] = 1e300
+        buf = StreamModel(config=model.config, modality="rgb")
+        buf.flat[:] = np.nan
+        buf.flat[::2] = 1e300
         reused = basemodel.backward(model, fp, out=buf, **upstream)
         assert list(reused) == list(fresh)
         for key in fresh:
-            assert np.shares_memory(reused[key], buf)
+            assert np.shares_memory(reused[key], buf.flat)
             np.testing.assert_array_equal(reused[key], fresh[key])
+
+    def test_out_buffer_keeps_its_views(self):
+        model = make_model()
+        rng = np.random.default_rng(9)
+        fp = basemodel.forward(model, rng.normal(size=(5, 4)))
+        buf = StreamModel(config=model.config, modality="rgb")
+        first = basemodel.backward(model, fp, d_attention=rng.normal(size=5),
+                                   out=buf)
+        second = basemodel.backward(model, fp, d_attention=rng.normal(size=5),
+                                    out=buf)
+        for key in first:
+            assert second[key] is first[key] is buf.params[key]
+
+    def test_out_buffer_of_other_config_rejected(self):
+        model = make_model()
+        fp = basemodel.forward(model, np.ones((5, 4)))
+        other = make_model(embed_dim=5)
+        with pytest.raises(ShapeError, match="does not match"):
+            basemodel.backward(model, fp, d_attention=np.ones(5), out=other)
 
     def test_tcam_path_finite_difference(self):
         rng = np.random.default_rng(7)

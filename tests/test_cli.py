@@ -45,6 +45,21 @@ def proposals(workspace):
     return path
 
 
+def poisoned_copy(workspace, tmp_path, split, value):
+    """A copy of the workspace dataset whose first video of ``split`` has
+    ``value`` at snippet 2, dimension 3 of its rgb features; returns the
+    copy's directory and the poisoned file's name."""
+    corrupt = tmp_path / "corrupt"
+    synthdata.save(synthdata.load(workspace["data"]), corrupt)
+    manifest = json.loads((corrupt / "manifest.json").read_text())
+    entry = next(v for v in manifest["videos"] if v["split"] == split)
+    path = corrupt / entry["rgb_file"]
+    values = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
+    values[manifest["D"] + 2] = value
+    path.write_bytes(values.tobytes())
+    return corrupt, entry["rgb_file"]
+
+
 # small numbers are drawn often, so that some configs are valid
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
                 | st.integers(0, 9) | st.floats(0, 1) | st.text(max_size=3))
@@ -238,20 +253,28 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "line 3" in err
 
-    def test_non_finite_features_exit_code_3(self, workspace, tmp_path,
-                                             capsys):
-        corrupt = tmp_path / "corrupt"
-        dataset = synthdata.load(workspace["data"])
-        synthdata.save(dataset, corrupt)
-        manifest = json.loads((corrupt / "manifest.json").read_text())
-        entry = manifest["videos"][0]
-        bad = np.full(entry["T"] * manifest["D"], np.nan, dtype="<f4")
-        (corrupt / entry["rgb_file"]).write_bytes(bad.tobytes())
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_features_are_data_error(self, workspace, tmp_path,
+                                                capsys, value):
+        corrupt, feature_file = poisoned_copy(workspace, tmp_path, "train",
+                                              value)
+        assert cli.main(["train", "--config", str(workspace["config"]),
+                         "--dataset", str(corrupt),
+                         "--out", str(tmp_path / "r"), "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert feature_file in err
+        assert "snippet 2, dimension 3 is not finite" in err
+
+    def test_diverging_training_exit_code_3(self, workspace, tmp_path,
+                                            capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(
-            {"refinement": {"iterations": 0, "epochs_initial": 1}}))
+            {"refinement": {"iterations": 0, "epochs_initial": 1,
+                            "learning_rate": 1e300}}))
         assert cli.main(["train", "--config", str(config),
-                         "--dataset", str(corrupt),
+                         "--dataset", str(workspace["data"]),
                          "--out", str(tmp_path / "r"), "--seed", "0"]) == 3
         err = capsys.readouterr().err
         assert "stream=rgb" in err
@@ -294,6 +317,24 @@ class TestLocalizeEval:
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_non_finite_test_features_are_data_error(self, workspace,
+                                                     tmp_path, capsys):
+        corrupt, feature_file = poisoned_copy(workspace, tmp_path, "test",
+                                              np.nan)
+        run_dir = workspace["run"]
+        out = tmp_path / "p.json"
+        assert cli.main(["localize",
+                         "--checkpoint-rgb", str(run_dir / "iter1_rgb.ckpt"),
+                         "--checkpoint-flow",
+                         str(run_dir / "iter1_flow.ckpt"),
+                         "--dataset", str(corrupt), "--split", "test",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert feature_file in err
+        assert "value nan at snippet 2, dimension 3 is not finite" in err
+        assert not out.exists()
 
     def test_checkpoint_stream_mismatch(self, workspace, tmp_path, capsys):
         run_dir = workspace["run"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wtal import localization
 from wtal.basemodel import ForwardPass
@@ -70,7 +72,41 @@ class TestSelectCategories:
         assert select_categories([0.05, 0.05, 0.9], 2, 0.95) == []
 
 
+def reference_segments(attention, threshold):
+    """The per-step loop extract_segments replaced."""
+    mask = np.asarray(attention, dtype=np.float64) > threshold
+    segments = []
+    start = None
+    for i, on in enumerate(mask):
+        if on and start is None:
+            start = i
+        elif not on and start is not None:
+            segments.append((start + 1, i))
+            start = None
+    if start is not None:
+        segments.append((start + 1, len(mask)))
+    return segments
+
+
 class TestExtractSegments:
+    # values drawn from a few levels, so runs, values equal to the
+    # threshold and all-on/all-off masks come up often
+    @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+                    | st.floats(0.0, 1.0), min_size=0, max_size=40),
+           st.sampled_from([0.25, 0.5, 0.75]))
+    def test_matches_reference_loop(self, values, threshold):
+        segs = extract_segments(np.array(values), threshold)
+        assert segs == reference_segments(values, threshold)
+        for pair in segs:
+            assert type(pair) is tuple
+            assert all(type(i) is int for i in pair)
+
+    @pytest.mark.parametrize("values", [[0.6], [0.5], [0.4], [0.9] * 7,
+                                        [0.1] * 7, []])
+    def test_edge_masks_match_reference_loop(self, values):
+        assert extract_segments(values, 0.5) == \
+            reference_segments(values, 0.5)
+
     def test_two_runs(self):
         segs = extract_segments([0.2, 0.7, 0.8, 0.3, 0.9], 0.5)
         assert segs == [(2, 3), (5, 5)]

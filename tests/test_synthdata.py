@@ -150,6 +150,29 @@ class TestSaveLoad:
         with pytest.raises(DataError):
             synthdata.load(tmp_path)
 
+    @pytest.mark.parametrize("values,finite", [
+        ([np.finfo(np.float32).max] * 2, True),
+        ([-np.finfo(np.float32).max] * 2, True),
+        ([np.inf, -np.inf], False),
+        ([np.nan, 1.0], False),
+    ], ids=["float32-max", "float32-min", "inf-and-minus-inf", "nan"])
+    def test_feature_values_must_be_finite(self, tmp_path, values, finite):
+        dataset = synthdata.generate(small_config())
+        synthdata.save(dataset, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        feature_file = tmp_path / manifest["videos"][0]["flow_file"]
+        data = np.frombuffer(feature_file.read_bytes(), dtype="<f4").copy()
+        data[:len(values)] = values
+        data[-len(values):] = values
+        feature_file.write_bytes(data.tobytes())
+        if finite:
+            loaded = synthdata.load(tmp_path)
+            np.testing.assert_array_equal(loaded.train[0].flow.ravel(),
+                                          data)
+        else:
+            with pytest.raises(DataError, match="not finite"):
+                synthdata.load(tmp_path)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             synthdata.load(tmp_path)
