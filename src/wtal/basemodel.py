@@ -114,9 +114,6 @@ class StreamModel:
                                                       size=shape)
         return model
 
-    def clone_params(self):
-        return self.flat.copy()
-
 
 @dataclass
 class ForwardPass:
@@ -161,10 +158,9 @@ def forward(model, features):
                        conv_inputs=conv_inputs, conv_preacts=conv_preacts)
 
 
-def backward(model, fp, d_attention=None, d_prediction=None, d_tcam=None,
-             out=None):
+def backward(model, fp, d_attention=None, d_prediction=None, out=None):
     """Exact parameter gradients given upstream gradients of the losses
-    w.r.t. attention, video prediction, and T-CAM (any subset).
+    w.r.t. attention and video prediction (either or both).
 
     The gradient overwrites the parameters of ``out``, a StreamModel of
     the same config (a new one when None), and is returned as its
@@ -194,14 +190,6 @@ def backward(model, fp, d_attention=None, d_prediction=None, d_tcam=None,
         att_sum = attention.sum()
         d_att += (embedded - fp.foreground_feature) @ d_fg / att_sum
         d_embedded += np.outer(attention, d_fg) / att_sum
-
-    if d_tcam is not None:
-        d_rows = numkit.softmax_backward(fp.tcam, d_tcam)
-        d_emb, d_w, d_b = numkit.fc_backward(embedded, model.params["cls_w"],
-                                             d_rows)
-        grads["cls_w"] += d_w
-        grads["cls_b"] += d_b
-        d_embedded += d_emb
 
     d_att_logit = numkit.sigmoid_backward(attention, d_att)
     grads["att_w"] += embedded.T @ d_att_logit
@@ -302,4 +290,10 @@ def load_checkpoint(path):
         view[...] = np.frombuffer(data, dtype="<f8", count=view.size,
                                   offset=offset).reshape(view.shape)
         offset += 8 * view.size
+        bad = np.flatnonzero(~np.isfinite(view))
+        if bad.size:
+            index = [int(i) for i in np.unravel_index(bad[0], view.shape)]
+            raise DataError(f"{path}: parameter {entry['name']!r}: value "
+                            f"{view.flat[bad[0]]} at index {index} is not "
+                            "finite")
     return model, header["meta"]

@@ -5,7 +5,6 @@ failure during training.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -13,10 +12,13 @@ import sys
 import types
 import typing
 
+import numpy as np
+
 from . import basemodel, evaluation, localization, pipeline, synthdata
 from .basemodel import ModelConfig
 from .consensus import (STREAMS, NumericError, RefinementConfig,
-                        load_pseudo_gt, run_refinement, save_pseudo_gt)
+                        load_pseudo_gt, run_refinement, save_pseudo_gt,
+                        save_training_log)
 from .evaluation import EvaluationConfig
 from .localization import LocalizationConfig
 from .losses import LossConfig
@@ -181,20 +183,6 @@ def cmd_gen_data(args):
     return 0
 
 
-def _write_log_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "epoch", "stream", "mean_cls_loss",
-                         "mean_att_loss", "mean_gt_loss",
-                         "mean_total_loss"])
-        for r in rows:
-            writer.writerow([r.iteration, r.epoch, r.stream,
-                             repr(r.mean_cls_loss), repr(r.mean_att_loss),
-                             "" if r.mean_gt_loss is None
-                             else repr(r.mean_gt_loss),
-                             repr(r.mean_total_loss)])
-
-
 def cmd_train(args):
     cfg = load_run_config(args.config, {"dataset": args.dataset,
                                         "output_dir": args.out,
@@ -215,8 +203,8 @@ def cmd_train(args):
                 os.path.join(cfg.output_dir,
                              f"iter{iteration}_{stream}.ckpt"),
                 model, meta=meta)
-    _write_log_csv(os.path.join(cfg.output_dir, "training_log.csv"),
-                   result.log_rows)
+    save_training_log(os.path.join(cfg.output_dir, "training_log.csv"),
+                      result.log_rows)
     if args.dump_pseudo_gt:
         for iteration, pseudo in enumerate(result.pseudo_gt[1:], start=1):
             pdir = os.path.join(cfg.output_dir, "pseudo_gt",
@@ -266,7 +254,11 @@ def cmd_eval(args):
     cfg = load_run_config(args.config)
     dataset = synthdata.load(args.dataset)
     sections = resolved_config(cfg, dataset, args.config)
-    gts = evaluation.gt_from_videos(getattr(dataset, args.split))
+    try:
+        gts = evaluation.gt_from_videos(getattr(dataset, args.split))
+    except ValueError as exc:
+        raise DataError(f"{os.path.join(args.dataset, 'manifest.json')}: "
+                        f"{exc}") from exc
     proposals = localization.load_proposals(args.proposals,
                                             dataset.class_names)
     report = evaluation.evaluate(proposals, gts,
@@ -361,7 +353,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a diverging run reports itself once, as a NumericError
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,7 @@ truth for the next round of training.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -154,6 +154,15 @@ class LogRow:
     mean_total_loss: float
 
 
+def save_training_log(path, rows):
+    """CSV with one column per LogRow field; floats are written as their
+    shortest round-trip repr, an absent pseudo-GT mean as an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in fields(LogRow)])
+        writer.writerows(astuple(row) for row in rows)
+
+
 @dataclass
 class RefinementResult:
     models: dict                     # final live models per stream
@@ -171,12 +180,11 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
     Returns (best_params, best_info) by lowest epoch-mean total loss;
     best_params is a copy of the model's flat parameter vector.
     """
-    state = numkit.adam_init(model.flat,
-                             learning_rate=refine_cfg.learning_rate)
+    state = numkit.adam_init(model.flat, refine_cfg.learning_rate)
     grad = basemodel.StreamModel(config=model.config,
                                  modality=model.modality)
     best_loss = np.inf
-    best_params = model.clone_params()
+    best_params = model.flat.copy()
     best_epoch = -1
     n = len(videos)
     for epoch in range(epochs):
@@ -185,20 +193,10 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
         for vi in order:
             video = videos[vi]
             fp = basemodel.forward(model, video.features(model.modality))
-            cls_val = losses.classification_loss(video.label,
-                                                 fp.video_prediction)
-            d_pred = losses.classification_loss_grad(video.label,
-                                                     fp.video_prediction)
-            att_val, d_att_norm = losses.attention_norm_loss(fp.attention,
-                                                             loss_cfg.s)
-            d_att = loss_cfg.alpha * d_att_norm
-            gt_val = None
-            if pseudo is not None:
-                gt_val, d_gt = losses.pseudo_gt_loss(
-                    fp.attention, pseudo[video.id])
-                d_att = d_att + loss_cfg.gamma * d_gt
-            total = losses.total_loss(cls_val, att_val, loss_cfg,
-                                      gt_value=gt_val, iteration=iteration)
+            gt = pseudo[video.id] if pseudo is not None else None
+            cls_val, att_val, gt_val, total, d_att, d_pred = \
+                losses.video_objective(fp, video.label, gt, loss_cfg,
+                                       iteration)
             if not np.isfinite(total):
                 raise NumericError(model.modality, iteration, epoch,
                                    video.id)
@@ -219,7 +217,7 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
                                mean_total_loss=total_mean))
         if total_mean < best_loss:
             best_loss = total_mean
-            best_params = model.clone_params()
+            best_params = model.flat.copy()
             best_epoch = epoch
     return best_params, {"epoch": best_epoch, "mean_loss": best_loss}
 

@@ -39,9 +39,8 @@ def gt_from_videos(videos):
     segments = []
     for video in videos:
         if video.gt_segments is None:
-            raise ValueError(
-                f"video {video.id} has no ground truth; dataset is not "
-                "usable for evaluation")
+            raise ValueError(f"video {video.id} has no field 'gt_segments', "
+                             "so it cannot be evaluated")
         for s, e, c in video.gt_segments:
             segments.append(GroundTruthSegment(video_id=video.id,
                                                start=float(s - 1),

@@ -83,3 +83,20 @@ def total_loss(cls_value, att_value, config, gt_value=None, iteration=0):
     if gt_value is not None:
         total += config.gamma * gt_value
     return float(total)
+
+
+def video_objective(fp, label, pseudo, config, iteration):
+    """One stream's loss terms (gt None without pseudo GT), their total
+    and the upstream gradients for basemodel.backward on one video's
+    forward pass: (cls, att, gt, total, d_attention, d_prediction)."""
+    cls_value = classification_loss(label, fp.video_prediction)
+    d_prediction = classification_loss_grad(label, fp.video_prediction)
+    att_value, d_att_norm = attention_norm_loss(fp.attention, config.s)
+    d_attention = config.alpha * d_att_norm
+    gt_value = None
+    if pseudo is not None:
+        gt_value, d_gt = pseudo_gt_loss(fp.attention, pseudo)
+        d_attention = d_attention + config.gamma * d_gt
+    total = total_loss(cls_value, att_value, config, gt_value=gt_value,
+                       iteration=iteration)
+    return cls_value, att_value, gt_value, total, d_attention, d_prediction

@@ -152,47 +152,46 @@ def softmax_backward(probs, d_probs):
 # ---------------------------------------------------------------------------
 # Adam
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam optimizer state over one flat parameter vector."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    learning_rate: float
     step_count: int = 0
 
 
-def adam_init(params, learning_rate=1e-4, beta1=0.9, beta2=0.999,
-              epsilon=1e-8):
+def adam_init(params, learning_rate):
     """Fresh state for the float64 parameter vector params."""
     return AdamState(first_moment=np.zeros_like(params),
                      second_moment=np.zeros_like(params),
-                     learning_rate=learning_rate, beta1=beta1, beta2=beta2,
-                     epsilon=epsilon)
+                     learning_rate=learning_rate)
 
 
 def adam_step(params, grads, state):
     """One in-place Adam update of the vector params given the vector
-    grads; returns (params, state) for convenience."""
+    grads."""
     if np.shape(grads) != np.shape(params):
         raise ShapeError("adam_step: parameter and gradient shapes differ")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     m = state.first_moment
     v = state.second_moment
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grads
-    v *= state.beta2
-    v += (1.0 - state.beta2) * np.square(grads)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * np.square(grads)
     m_hat = m / bc1
     v_hat = v / bc2
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return params, state
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 # ---------------------------------------------------------------------------

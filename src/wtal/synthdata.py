@@ -103,10 +103,6 @@ class Dataset:
     def num_classes(self):
         return len(self.class_names)
 
-    @property
-    def evaluable(self):
-        return all(v.gt_segments is not None for v in self.test)
-
     def all_videos(self):
         return list(self.train) + list(self.test)
 

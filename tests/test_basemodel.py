@@ -121,27 +121,15 @@ class TestForward:
                                   flow.params["att_w"])
 
 
-def full_loss_and_grads(model, features, label, gt=None, alpha=0.1,
-                        gamma=2.0, s=8):
-    """Shared objective used by the gradient checks: the full training
-    loss through the whole model."""
-    cfg = losses.LossConfig(alpha=alpha, gamma=gamma, s=s)
+def full_loss_and_grads(model, features, label, gt=None):
+    """The trainer's per-video objective at the default loss weights and
+    its gradient through the whole model; pseudo GT ``gt`` makes it an
+    objective of iteration 1."""
     fp = basemodel.forward(model, features)
-    cls_val = losses.classification_loss(label, fp.video_prediction)
-    d_pred = losses.classification_loss_grad(label, fp.video_prediction)
-    att_val, d_att_norm = losses.attention_norm_loss(fp.attention, s)
-    d_att = alpha * d_att_norm
-    gt_val = None
-    iteration = 0
-    if gt is not None:
-        gt_val, d_gt = losses.pseudo_gt_loss(fp.attention, gt)
-        d_att = d_att + gamma * d_gt
-        iteration = 1
-    total = losses.total_loss(cls_val, att_val, cfg, gt_value=gt_val,
-                              iteration=iteration)
-    grads = basemodel.backward(model, fp, d_attention=d_att,
-                               d_prediction=d_pred)
-    return total, grads
+    *_, total, d_att, d_pred = losses.video_objective(
+        fp, label, gt, losses.LossConfig(), 0 if gt is None else 1)
+    return total, basemodel.backward(model, fp, d_attention=d_att,
+                                     d_prediction=d_pred)
 
 
 class TestBackward:
@@ -181,8 +169,7 @@ class TestBackward:
         rng = np.random.default_rng(8)
         fp = basemodel.forward(model, rng.normal(size=(5, 4)))
         upstream = {"d_attention": rng.normal(size=5),
-                    "d_prediction": rng.normal(size=3),
-                    "d_tcam": rng.normal(size=(5, 3))}
+                    "d_prediction": rng.normal(size=3)}
         fresh = basemodel.backward(model, fp, **upstream)
         buf = StreamModel(config=model.config, modality="rgb")
         buf.flat[:] = np.nan
@@ -211,23 +198,6 @@ class TestBackward:
         other = make_model(embed_dim=5)
         with pytest.raises(ShapeError, match="does not match"):
             basemodel.backward(model, fp, d_attention=np.ones(5), out=other)
-
-    def test_tcam_path_finite_difference(self):
-        rng = np.random.default_rng(7)
-        model = make_model(seed=7)
-        features = rng.normal(size=(5, 4))
-        target = np.zeros((5, 3))
-        target[:, 1] = 1.0
-
-        def fn(params):
-            probe = StreamModel(config=model.config, modality="rgb",
-                                params=params)
-            fp = basemodel.forward(probe, features)
-            diff = fp.tcam - target
-            grads = basemodel.backward(probe, fp, d_tcam=2.0 * diff)
-            return float((diff * diff).sum()), grads
-
-        assert numkit.grad_check(fn, model.params).passed
 
 
 class TestCheckpoint:

@@ -1,11 +1,16 @@
 import json
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wtal
 from wtal import cli, synthdata
 from wtal.consensus import fuse_attention
 
@@ -267,18 +272,26 @@ class TestTrain:
         assert feature_file in err
         assert "snippet 2, dimension 3 is not finite" in err
 
-    def test_diverging_training_exit_code_3(self, workspace, tmp_path,
-                                            capsys):
+    def test_diverging_training_exit_code_3(self, workspace, tmp_path):
+        # a child process: pytest records numpy's warnings, so capsys
+        # would not see them
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(
             {"refinement": {"iterations": 0, "epochs_initial": 1,
                             "learning_rate": 1e300}}))
-        assert cli.main(["train", "--config", str(config),
-                         "--dataset", str(workspace["data"]),
-                         "--out", str(tmp_path / "r"), "--seed", "0"]) == 3
-        err = capsys.readouterr().err
-        assert "stream=rgb" in err
-        assert "epoch=0" in err
+        src = str(pathlib.Path(wtal.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "wtal.cli", "train", "--config",
+             str(config), "--dataset", str(workspace["data"]),
+             "--out", str(tmp_path / "r"), "--seed", "0"],
+            capture_output=True, text=True, env=env)
+        assert run.returncode == 3
+        assert run.stderr.count("\n") == 1, run.stderr
+        assert run.stderr.startswith("numeric failure: ")
+        assert "stream=rgb" in run.stderr
+        assert "epoch=0" in run.stderr
 
 
 class TestLocalizeEval:
@@ -362,6 +375,23 @@ class TestLocalizeEval:
                          "--out", str(tmp_path / "p.json")]) == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_eval_without_ground_truth_is_data_error(self, workspace,
+                                                     proposals, tmp_path,
+                                                     capsys):
+        data = tmp_path / "data"
+        synthdata.save(synthdata.load(workspace["data"]), data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        for entry in manifest["videos"]:
+            entry.pop("gt_segments")
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["eval", "--proposals", str(proposals),
+                         "--dataset", str(data),
+                         "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {data / 'manifest.json'}: video "
+                              "test_0000 has no field 'gt_segments'"), err
+        assert not list(tmp_path.glob("report*"))
 
     def test_unknown_manifest_split(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"
@@ -480,9 +510,17 @@ class TestLocalizeEval:
          ["'config'", "kernel_size"]),
         (lambda header, body: body.extend(b"\0" * 8),
          ["parameter block"]),
+        # body order is sorted by name: att_b (1 value), att_w (8), cls_b
+        # (3), cls_w (8, 3)
+        (lambda header, body: body.__setitem__(
+            slice(8 * 3, 8 * 4), struct.pack("<d", np.nan)),
+         ["'att_w'", "value nan at index [2] is not finite"]),
+        (lambda header, body: body.__setitem__(
+            slice(8 * 17, 8 * 18), struct.pack("<d", -np.inf)),
+         ["'cls_w'", "value -inf at index [1, 2] is not finite"]),
     ], ids=["no-format", "no-modality", "no-config", "no-params", "no-meta",
             "param-missing", "param-shape", "config-narrower",
-            "config-type", "trailing-bytes"])
+            "config-type", "trailing-bytes", "param-nan", "param-inf"])
     def test_bad_checkpoint_is_data_error(self, workspace, tmp_path, capsys,
                                           edit, names):
         run_dir = workspace["run"]

@@ -196,7 +196,7 @@ class TestBackwardFiniteDifference:
 class TestAdam:
     def test_zero_gradient_is_identity(self):
         params = np.array([1.0, -2.0])
-        state = numkit.adam_init(params)
+        state = numkit.adam_init(params, 1e-4)
         numkit.adam_step(params, np.zeros(2), state)
         np.testing.assert_allclose(params, [1.0, -2.0])
         assert state.step_count == 1
@@ -220,7 +220,7 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         params = np.zeros(3)
-        state = numkit.adam_init(params)
+        state = numkit.adam_init(params, 1e-4)
         with pytest.raises(ShapeError):
             numkit.adam_step(params, np.zeros(2), state)
 

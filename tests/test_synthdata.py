@@ -185,7 +185,7 @@ class TestSaveLoad:
         with pytest.raises(DataError):
             synthdata.load(tmp_path)
 
-    def test_absent_gt_segments_flags_not_evaluable(self, tmp_path):
+    def test_absent_gt_segments_load_as_none(self, tmp_path):
         dataset = synthdata.generate(small_config())
         synthdata.save(dataset, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -194,7 +194,6 @@ class TestSaveLoad:
                 del entry["gt_segments"]
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         loaded = synthdata.load(tmp_path)
-        assert not loaded.evaluable
         assert all(v.gt_segments is None for v in loaded.test)
 
     def test_invalid_gt_segment_rejected(self, tmp_path):
