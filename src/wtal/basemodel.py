@@ -251,7 +251,7 @@ def load_checkpoint(path):
     offset = 4 + hlen
     try:
         header = json.loads(data[4:offset].decode("utf-8"))
-    except ValueError:
+    except (ValueError, RecursionError):
         header = None
     if not isinstance(header, dict) or \
             header.get("format") != CHECKPOINT_MAGIC:

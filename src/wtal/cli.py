@@ -110,15 +110,7 @@ def _check_fields(where, raw, cls):
 def load_run_config(path=None, overrides=None):
     cfg = RunConfig()
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError as exc:
-            raise DataError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(
-                f"{path}: invalid JSON at line {exc.lineno}, column "
-                f"{exc.colno}: {exc.msg}") from exc
+        raw = synthdata.read_json(path)
         _check_fields(path, raw, RunConfig)
         for name, cls in SECTIONS.items():
             _check_fields(f"{path}: config section {name!r}",

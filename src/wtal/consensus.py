@@ -72,11 +72,14 @@ def save_pseudo_gt(path, values):
 
 def load_pseudo_gt(path, num_snippets):
     """Values of a save_pseudo_gt file; each must be a number in [0, 1]."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if "pseudo_gt" not in (reader.fieldnames or ()):
-            raise DataError(f"{path}: missing column 'pseudo_gt'")
-        cells = [row["pseudo_gt"] for row in reader]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if "pseudo_gt" not in (reader.fieldnames or ()):
+                raise DataError(f"{path}: missing column 'pseudo_gt'")
+            cells = [row["pseudo_gt"] for row in reader]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if len(cells) != num_snippets:
         raise DataError(f"{path}: 'pseudo_gt' has {len(cells)} rows, "
                         f"expected {num_snippets}")

@@ -7,6 +7,7 @@ interval [start - 1, end], the same unit proposals use.
 """
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -62,33 +63,26 @@ def iou(a, b):
     return inter / union
 
 
-def _sorted_proposals(proposals):
-    return sorted(proposals,
-                  key=lambda p: (-p.score, p.start, p.video_id))
-
-
 def _match(proposals, gts, threshold):
     """Greedy matching in score order: each proposal takes the unmatched
-    same-video GT with highest IoU >= threshold. Returns TP flags in the
-    sorted proposal order."""
-    ranked = _sorted_proposals(proposals)
-    taken = [False] * len(gts)
+    same-video GT with highest IoU >= threshold, the first in gts order
+    on a tie. Returns TP flags in the sorted proposal order."""
+    pools = defaultdict(list)   # video id -> its unmatched GT, gts order
+    for g in gts:
+        pools[g.video_id].append(g)
     flags = []
-    for p in ranked:
+    for p in sorted(proposals, key=lambda p: (-p.score, p.start, p.video_id)):
+        pool = pools[p.video_id]
         best = -1
         best_iou = 0.0
-        for gi, g in enumerate(gts):
-            if taken[gi] or g.video_id != p.video_id:
-                continue
+        for gi, g in enumerate(pool):
             overlap = iou((p.start, p.end), (g.start, g.end))
             if overlap >= threshold and overlap > best_iou:
                 best = gi
                 best_iou = overlap
         if best >= 0:
-            taken[best] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+            del pool[best]
+        flags.append(best >= 0)
     return flags
 
 
@@ -152,28 +146,30 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def _by_category(items):
+    """{category: items of it, in input order}; an absent category reads
+    as an empty list."""
+    groups = defaultdict(list)
+    for item in items:
+        groups[item.category].append(item)
+    return groups
+
+
 def map_at(proposals, gts, thresholds, num_classes):
     """Mean over classes of AP at each threshold, plus the average mAP
     over the threshold list. Classes with no GT are excluded."""
     if not gts:
         raise ValueError("no ground truth segments")
+    classes = range(1, num_classes + 1)
+    by_class_props = _by_category(proposals)
+    by_class_gts = _by_category(gts)
+    notes = [f"class {c}: no ground truth, excluded" for c in classes
+             if c not in by_class_gts]
     per_class = {}
     map_values = {}
-    notes = []
-    by_class_props = {c: [] for c in range(1, num_classes + 1)}
-    by_class_gts = {c: [] for c in range(1, num_classes + 1)}
-    for p in proposals:
-        by_class_props.setdefault(p.category, []).append(p)
-    for g in gts:
-        by_class_gts.setdefault(g.category, []).append(g)
     for threshold in thresholds:
-        aps = {}
-        for c in range(1, num_classes + 1):
-            ap = average_precision(by_class_props[c], by_class_gts[c],
-                                   threshold)
-            aps[c] = ap
-            if ap is None and threshold == thresholds[0]:
-                notes.append(f"class {c}: no ground truth, excluded")
+        aps = {c: average_precision(by_class_props[c], by_class_gts[c],
+                                    threshold) for c in classes}
         per_class[threshold] = aps
         valid = [ap for ap in aps.values() if ap is not None]
         map_values[threshold] = sum(valid) / len(valid) if valid else 0.0
@@ -183,13 +179,10 @@ def map_at(proposals, gts, thresholds, num_classes):
 def precision_recall_f(proposals, gts, iou_threshold=0.5):
     """Detection (precision, recall, F, TP count) at one IoU threshold,
     greedy matching per class and per video in descending score order."""
-    tp = 0
-    classes = sorted({g.category for g in gts}
-                     | {p.category for p in proposals})
-    for c in classes:
-        flags = _match([p for p in proposals if p.category == c],
-                       [g for g in gts if g.category == c], iou_threshold)
-        tp += sum(flags)
+    by_class_props = _by_category(proposals)
+    # a class with proposals but no GT adds no TP
+    tp = sum(sum(_match(by_class_props[c], class_gts, iou_threshold))
+             for c, class_gts in _by_category(gts).items())
     n_props = len(proposals)
     n_gt = len(gts)
     precision = tp / n_props if n_props else 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consensus import fuse_attention
-from .synthdata import DataError, finite_number
+from .synthdata import DataError, finite_number, read_json
 
 
 @dataclass
@@ -114,21 +114,16 @@ def localize(video_id, rgb_out, flow_out, config, beta, mode="fused"):
     """Turn two streams' forward outputs into scored proposals.
 
     mode selects which attention/T-CAM/prediction drive localization:
-    "fused" (convex combination with beta), "rgb", or "flow".
+    "fused" (convex combination with beta), "rgb", or "flow"; a single
+    stream is the fusion with weight 1 or 0 on the rgb stream.
     """
-    if mode == "fused":
-        attention = fuse_attention(rgb_out.attention, flow_out.attention,
-                                   beta)
-        tcam = fuse_attention(rgb_out.tcam, flow_out.tcam, beta)
-        prediction = fuse_attention(rgb_out.video_prediction,
-                                    flow_out.video_prediction, beta)
-    elif mode in ("rgb", "flow"):
-        out = rgb_out if mode == "rgb" else flow_out
-        attention = out.attention
-        tcam = out.tcam
-        prediction = out.video_prediction
-    else:
+    weights = {"fused": beta, "rgb": 1.0, "flow": 0.0}
+    if mode not in weights:
         raise ValueError(f"unknown mode {mode!r}")
+    attention, tcam, prediction = (
+        fuse_attention(getattr(rgb_out, name), getattr(flow_out, name),
+                       weights[mode])
+        for name in ("attention", "tcam", "video_prediction"))
 
     factor = config.upsample_factor
     att_up = upsample_linear(attention, factor)
@@ -214,8 +209,8 @@ def save_proposals(path, proposals, class_names):
 
 
 def load_proposals(path, class_names):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return proposals_from_json(json.load(fh), class_names)
-        except (DataError, json.JSONDecodeError) as exc:
-            raise DataError(f"{path}: {exc}") from exc
+    payload = read_json(path)
+    try:
+        return proposals_from_json(payload, class_names)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -254,16 +254,18 @@ def save(dataset, directory):
         fh.write("\n")
 
 
-def _read_features(path, t, d):
+def _read_features(where, path, t, d):
+    """The (T, D) features at path; a fault names where (the manifest
+    entry, whose T and D may be at fault as much as the file) too."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except FileNotFoundError as exc:
-        raise DataError(f"missing feature file: {path}") from exc
+        raise DataError(f"{where}: missing feature file {path}") from exc
+    if len(raw) != 4 * t * d:
+        raise DataError(f"{where}: {path}: expected {t}x{d} float32 values, "
+                        f"found {len(raw)} bytes")
     values = np.frombuffer(raw, dtype="<f4")
-    if values.size != t * d:
-        raise DataError(
-            f"{path}: expected {t}x{d} values, found {values.size}")
     features = values.astype(np.float64).reshape(t, d)
     flat = features.ravel()
     # squares of float32 values cannot overflow a float64 sum, so it is
@@ -273,10 +275,26 @@ def _read_features(path, t, d):
     # inf - inf, which would print a numpy warning
     if not math.isfinite(flat @ flat):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise DataError(f"{path}: value {values[bad]} at snippet "
+        raise DataError(f"{where}: {path}: value {values[bad]} at snippet "
                         f"{bad // d + 1}, dimension {bad % d + 1} is not "
                         "finite")
     return features
+
+
+def read_json(path):
+    """The JSON document in the file at path. A missing file, bytes that
+    are not UTF-8, invalid JSON and nesting too deep to parse are each a
+    one-line DataError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise DataError(f"{path}: file not found") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON at line {exc.lineno}, column "
+                        f"{exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _integer(where, key, value, least):
@@ -290,13 +308,7 @@ def _integer(where, key, value, least):
 
 def load(directory):
     manifest_path = os.path.join(directory, "manifest.json")
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"missing manifest: {manifest_path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise DataError(f"{manifest_path}: expected a JSON object")
     for key in ("C", "D", "class_names", "videos"):
@@ -310,6 +322,10 @@ def load(directory):
             and all(isinstance(name, str) for name in class_names)):
         raise DataError(f"{manifest_path}: field 'class_names' is not a "
                         f"list of C = {c} strings")
+    repeated = [n for i, n in enumerate(class_names) if n in class_names[:i]]
+    if repeated:
+        raise DataError(f"{manifest_path}: field 'class_names' is a list "
+                        f"that repeats {repeated[0]!r}")
     if not isinstance(entries, list):
         raise DataError(f"{manifest_path}: field 'videos' is not a list")
     splits = {"train": [], "test": []}
@@ -340,9 +356,8 @@ def load(directory):
             raise DataError(f"{where}: field 'label' is not a list of {c} "
                             "finite numbers")
         label = np.asarray(label, dtype=np.float64)
-        rgb = _read_features(os.path.join(directory, entry["rgb_file"]), t, d)
-        flow = _read_features(os.path.join(directory, entry["flow_file"]),
-                              t, d)
+        rgb, flow = (_read_features(where, os.path.join(directory, name), t, d)
+                     for name in (entry["rgb_file"], entry["flow_file"]))
         gt = entry.get("gt_segments")
         if gt is not None:
             if not (isinstance(gt, list) and all(

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import shutil
 import struct
 import subprocess
 import sys
@@ -48,6 +51,78 @@ def proposals(workspace):
                      "--dataset", str(workspace["data"]),
                      "--out", str(path)]) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def inputs(workspace, proposals, tmp_path_factory):
+    """A private copy of the workspace's input files; for each kind of
+    file, its path in the copy and a command that reads it."""
+    root = tmp_path_factory.mktemp("inputs")
+    data = root / "data"
+    shutil.copytree(workspace["data"], data)
+    pseudo = root / "pseudo"
+    shutil.copytree(workspace["run"] / "pseudo_gt" / "iter1", pseudo)
+    for stream in ("rgb", "flow"):
+        shutil.copy(workspace["run"] / f"iter1_{stream}.ckpt",
+                    root / f"{stream}.ckpt")
+    shutil.copy(proposals, root / "proposals.json")
+    (root / "config.json").write_text("{}")
+    models = ["--checkpoint-rgb", str(root / "rgb.ckpt"),
+              "--checkpoint-flow", str(root / "flow.ckpt"),
+              "--dataset", str(data)]
+    localize = ["localize", *models, "--out", str(root / "p.json")]
+    evaluate = ["eval", "--proposals", str(root / "proposals.json"),
+                "--dataset", str(data), "--out", str(root / "report")]
+    manifest = json.loads((data / "manifest.json").read_text())
+    test_video = next(v for v in manifest["videos"] if v["split"] == "test")
+    return {
+        "proposals": (root / "proposals.json", evaluate),
+        "config": (root / "config.json",
+                   evaluate + ["--config", str(root / "config.json")]),
+        "manifest": (data / "manifest.json", localize),
+        "pseudo-gt": (pseudo / "train_0000.csv",
+                      ["plot", *models, "--split", "train",
+                       "--pseudo-gt-dir", str(pseudo),
+                       "--out", str(root / "plots")]),
+        "checkpoint": (root / "rgb.ckpt", localize),
+        "features": (data / test_video["rgb_file"], localize),
+    }
+
+
+def run_with(path, content, argv):
+    """(exit code, stderr) of cli.main(argv) while the file at path holds
+    content; the file's own bytes are put back afterwards."""
+    clean = path.read_bytes()
+    path.write_bytes(content)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        path.write_bytes(clean)
+    return code, err.getvalue()
+
+
+def mutate(data, edits):
+    """data with each (kind, position, byte) edit applied in turn: flip
+    xors the byte at position with a nonzero mask, insert puts a byte
+    there, delete drops the byte there."""
+    data = bytearray(data)
+    for kind, position, byte in edits:
+        if kind == "insert":
+            data.insert(position % (len(data) + 1), byte)
+        elif data:
+            i = position % len(data)
+            if kind == "flip":
+                data[i] ^= byte or 0xff
+            else:
+                del data[i]
+    return bytes(data)
+
+
+EDITS = st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete"]),
+                           st.integers(0, 2 ** 32), st.integers(0, 255)),
+                 min_size=1, max_size=3)
 
 
 def poisoned_copy(workspace, tmp_path, split, value):
@@ -480,9 +555,10 @@ class TestLocalizeEval:
 
     @pytest.mark.parametrize("key,value", [
         ("C", "3"), ("C", 1), ("D", 8.0), ("D", True),
-        ("class_names", 5), ("class_names", ["a", "b"]), ("videos", 5),
+        ("class_names", 5), ("class_names", ["a", "b"]),
+        ("class_names", ["a", "b", "a"]), ("videos", 5),
     ], ids=["C-string", "C-one", "D-float", "D-bool", "class-names-number",
-            "class-names-short", "videos-number"])
+            "class-names-short", "class-names-repeated", "videos-number"])
     def test_bad_manifest_field(self, workspace, tmp_path, capsys, key,
                                 value):
         data = tmp_path / "data"
@@ -657,3 +733,35 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert str(pdir) in err and "test video" in err
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("target,defect", [
+        ("proposals", "bytes"), ("config", "bytes"), ("manifest", "bytes"),
+        ("pseudo-gt", "bytes"), ("proposals", "deep"), ("config", "deep"),
+        ("manifest", "deep"), ("checkpoint", "deep"),
+    ])
+    def test_unreadable_file_is_named(self, inputs, target, defect):
+        content = {"bytes": b"\xff\xfe",
+                   "deep": b"[" * 100_000 + b"]" * 100_000}[defect]
+        if target == "checkpoint":
+            content = struct.pack("<I", len(content)) + content
+        path, argv = inputs[target]
+        code, err = run_with(path, content, argv)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: "), err
+
+    @pytest.mark.parametrize("target", ["proposals", "manifest", "pseudo-gt",
+                                        "checkpoint", "features"])
+    @settings(max_examples=50, deadline=None)
+    @given(edits=EDITS)
+    def test_mutated_file_exits_0_or_names_it(self, inputs, target, edits):
+        path, argv = inputs[target]
+        code, err = run_with(path, mutate(path.read_bytes(), edits), argv)
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 2, err
+            assert err.count("\n") == 1
+            assert str(path) in err, err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtal import consensus, synthdata
 from wtal.basemodel import ModelConfig
@@ -29,6 +31,18 @@ class TestFuseAttention:
         rgb = np.array([0.1, 0.9, 0.4])
         np.testing.assert_array_equal(
             fuse_attention(rgb, np.array([0.5, 0.5, 0.5]), 1.0), rgb)
+
+    # attention, T-CAM and prediction values: [0, 1], zero and
+    # subnormals included
+    UNIT = st.floats(0.0, 1.0) | st.sampled_from(
+        [0.0, 5e-324, 1e-310, np.finfo(np.float64).tiny])
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=20))
+    def test_weight_one_or_zero_is_one_stream_bitwise(self, pairs):
+        rgb, flow = np.array(pairs).T
+        assert fuse_attention(rgb, flow, 1.0).tobytes() == rgb.tobytes()
+        assert fuse_attention(rgb, flow, 0.0).tobytes() == flow.tobytes()
 
     def test_single_element_arithmetic(self):
         np.testing.assert_allclose(

@@ -53,6 +53,46 @@ def oracle_average_precision(proposals, gts, threshold):
     return ap
 
 
+def oracle_tp(proposals, gts, threshold):
+    """Independent TP count: every proposal in one global score order
+    scans the whole GT list for unmatched GT of its video and class."""
+    matched = set()
+    for p in sorted(proposals,
+                    key=lambda p: (-p.score, p.start, p.video_id)):
+        candidates = [(iou((p.start, p.end), (g.start, g.end)), -gi)
+                      for gi, g in enumerate(gts)
+                      if gi not in matched and g.video_id == p.video_id
+                      and g.category == p.category]
+        best = max((c for c in candidates if c[0] >= threshold),
+                   default=None)
+        if best is not None:
+            matched.add(-best[1])
+    return len(matched)
+
+
+def tied_fixture(seed):
+    """Several videos and classes on an integer grid, so that exact IoU
+    ties are common; some GT segments are duplicated, some scores tie."""
+    rng = np.random.default_rng(3000 + seed)
+    videos = ["v1", "v2", "v3", "v4"]
+    gts = []
+    for _ in range(int(rng.integers(3, 10))):
+        start = int(rng.integers(0, 12))
+        gts.append(gt(video=str(rng.choice(videos)), start=float(start),
+                      end=float(start + rng.integers(1, 6)),
+                      category=int(rng.integers(1, 4))))
+    gts += [gts[int(i)] for i in rng.integers(len(gts), size=2)]
+    props = []
+    for _ in range(int(rng.integers(4, 14))):
+        anchor = gts[int(rng.integers(len(gts)))]
+        start = anchor.start + int(rng.integers(-2, 3))
+        end = max(start + 1.0, anchor.end + int(rng.integers(-2, 3)))
+        props.append(prop(video=anchor.video_id, start=start, end=end,
+                          category=int(rng.integers(1, 4)),
+                          score=float(rng.choice([0.2, 0.5, 0.8]))))
+    return props, gts
+
+
 class TestIou:
     def test_identical(self):
         assert iou((2.0, 5.0), (2.0, 5.0)) == 1.0
@@ -215,6 +255,21 @@ class TestMapAt:
             assert abs(map_values[threshold] - mean) < 1e-12
 
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tied_multi_class_fixture_matches_oracle(self, seed):
+        props, gts = tied_fixture(seed)
+        thresholds = [0.1, 1 / 3, 0.5, 2 / 3, 0.9]
+        per_class, _, _ = map_at(props, gts, thresholds, 3)
+        for threshold in thresholds:
+            for c in (1, 2, 3):
+                want = oracle_average_precision(
+                    [p for p in props if p.category == c],
+                    [g for g in gts if g.category == c], threshold)
+                got = per_class[threshold][c]
+                assert (got is None) if want is None \
+                    else abs(got - want) < 1e-9, (seed, threshold, c)
+
+
 class TestPrecisionRecallF:
     def test_half_and_half(self):
         props = [prop(start=0.0, end=1.0, score=0.9),
@@ -236,6 +291,27 @@ class TestPrecisionRecallF:
         gts = [gt(category=1)]
         p, r, f, tp = precision_recall_f(props, gts)
         assert (p, r, f, tp) == (0.0, 0.0, 0.0, 0)
+
+
+    def test_iou_tie_goes_to_first_gt_of_the_video(self):
+        # the first proposal has IoU 0.5 with both GT of video v; only
+        # the first of them is left for the second proposal if the first
+        # proposal took the other
+        first = gt(video="v", start=0.0, end=4.0)
+        second = gt(video="v", start=2.0, end=6.0)
+        other = gt(video="w", start=0.0, end=4.0)
+        props = [prop(video="v", start=2.0, end=4.0, score=0.9),
+                 prop(video="v", start=0.0, end=3.0, score=0.5)]
+        assert precision_recall_f(props, [first, other, second])[3] == 1
+        assert precision_recall_f(props, [second, other, first])[3] == 2
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tied_multi_class_fixture_matches_oracle(self, seed):
+        props, gts = tied_fixture(seed)
+        for threshold in (0.1, 1 / 3, 0.5, 2 / 3, 0.9):
+            tp = oracle_tp(props, gts, threshold)
+            assert precision_recall_f(props, gts, threshold)[3] == tp, \
+                (seed, threshold)
 
 
 class TestEvaluateReport:
