@@ -1,6 +1,6 @@
 """One stream's model: temporal-convolution embedding, attention head,
-attention-weighted pooling, video-level classifier, and per-snippet class
-activation map (forward and exact backward).
+attention-weighted pooling and video-level classifier (forward and exact
+backward), and for inference the per-snippet class activation map.
 """
 
 import json
@@ -120,12 +120,12 @@ class ForwardPass:
     """Forward outputs plus the intermediates needed for backward."""
 
     attention: np.ndarray          # (T,) in (0, 1)
-    tcam: np.ndarray               # (T, C), rows are probability vectors
     video_prediction: np.ndarray   # (C,)
     embedded: np.ndarray           # (T, D')
     foreground_feature: np.ndarray  # (D',)
     conv_inputs: list = field(default_factory=list)
     conv_preacts: list = field(default_factory=list)
+    tcam: np.ndarray | None = None  # (T, C) from infer; None from forward
 
 
 def forward(model, features):
@@ -149,13 +149,20 @@ def forward(model, features):
     video_logits = numkit.fc_forward(foreground, model.params["cls_w"],
                                      model.params["cls_b"])
     video_prediction = numkit.softmax(video_logits)
-    tcam_logits = numkit.fc_forward(embedded, model.params["cls_w"],
-                                    model.params["cls_b"])
-    tcam = numkit.softmax(tcam_logits)
-    return ForwardPass(attention=attention, tcam=tcam,
+    return ForwardPass(attention=attention,
                        video_prediction=video_prediction, embedded=embedded,
                        foreground_feature=foreground,
                        conv_inputs=conv_inputs, conv_preacts=conv_preacts)
+
+
+def infer(model, features):
+    """``forward`` plus the T-CAM: the video classifier applied to each
+    embedded snippet, (T, C) rows that are probability vectors. Only
+    localization reads the T-CAM, so training runs ``forward`` alone."""
+    fp = forward(model, features)
+    fp.tcam = numkit.softmax(numkit.fc_forward(
+        fp.embedded, model.params["cls_w"], model.params["cls_b"]))
+    return fp
 
 
 def backward(model, fp, d_attention=None, d_prediction=None, out=None):

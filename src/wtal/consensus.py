@@ -122,7 +122,8 @@ def make_pseudo_gt(fused, kind, theta):
     Hard: 1 where fused > theta else 0 (strict inequality, so a value
     equal to theta maps to 0)."""
     fused = np.asarray(fused, dtype=np.float64)
-    if fused.min() < 0.0 or fused.max() > 1.0:
+    # written so that NaN, which fails every comparison, is rejected too
+    if not np.all((fused >= 0.0) & (fused <= 1.0)):
         raise ValueError("fused attention must lie in [0, 1]")
     if kind == "soft":
         return fused.copy()

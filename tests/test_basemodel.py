@@ -16,7 +16,7 @@ class TestForward:
     def test_outputs_are_probabilities(self):
         model = make_model()
         rng = np.random.default_rng(1)
-        fp = basemodel.forward(model, rng.normal(size=(7, 4)))
+        fp = basemodel.infer(model, rng.normal(size=(7, 4)))
         assert np.all((fp.attention > 0) & (fp.attention < 1))
         np.testing.assert_allclose(fp.tcam.sum(axis=1), np.ones(7),
                                    atol=1e-9)
@@ -42,20 +42,31 @@ class TestForward:
         model = make_model(num_classes=4)
         model.params["cls_w"][...] = np.zeros_like(model.params["cls_w"])
         model.params["cls_b"][...] = np.zeros_like(model.params["cls_b"])
-        fp = basemodel.forward(model,
-                               np.random.default_rng(4).normal(size=(5, 4)))
+        fp = basemodel.infer(model,
+                             np.random.default_rng(4).normal(size=(5, 4)))
         np.testing.assert_allclose(fp.tcam, np.full((5, 4), 0.25))
         np.testing.assert_allclose(fp.video_prediction, np.full(4, 0.25))
 
     def test_tcam_row_equals_classifier_on_embedded_row(self):
         model = make_model()
-        fp = basemodel.forward(model,
-                               np.random.default_rng(5).normal(size=(6, 4)))
+        fp = basemodel.infer(model,
+                             np.random.default_rng(5).normal(size=(6, 4)))
         for i in range(6):
             row = numkit.softmax(numkit.fc_forward(
                 fp.embedded[i], model.params["cls_w"],
                 model.params["cls_b"]))
             np.testing.assert_allclose(fp.tcam[i], row, atol=1e-12)
+
+    def test_infer_is_forward_plus_tcam(self):
+        model = make_model()
+        features = np.random.default_rng(6).normal(size=(6, 4))
+        plain = basemodel.forward(model, features)
+        full = basemodel.infer(model, features)
+        assert plain.tcam is None
+        for name in ("attention", "video_prediction", "embedded",
+                     "foreground_feature"):
+            np.testing.assert_array_equal(getattr(full, name),
+                                          getattr(plain, name))
 
     def test_feature_width_mismatch(self):
         with pytest.raises(ShapeError):

@@ -134,6 +134,12 @@ class TestMakePseudoGt:
         with pytest.raises(ValueError):
             make_pseudo_gt([0.5], "fuzzy", 0.5)
 
+    @pytest.mark.parametrize("kind", ["hard", "soft"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, -1e-300])
+    def test_value_outside_unit_interval_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            make_pseudo_gt([0.2, bad, 0.9], kind, 0.5)
+
 
 class TestPseudoGtCsv:
     def test_round_trip_bit_exact(self, tmp_path):

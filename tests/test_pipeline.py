@@ -1,14 +1,26 @@
 """The plot writers against the per-element writers they replaced: every
-file they write must keep its bytes."""
+file they write must keep its bytes; and the plot bundle's worker
+processes, whose number changes no file and no error."""
 
 import csv
+import functools
+import os
+import pathlib
+import shutil
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from wtal import pipeline
-from wtal.localization import ActionProposal
-from wtal.synthdata import VideoSample
+import wtal
+from wtal import basemodel, cli, consensus, pipeline, synthdata
+from wtal.basemodel import ModelConfig
+from wtal.consensus import RefinementConfig
+from wtal.localization import ActionProposal, LocalizationConfig
+from wtal.losses import LossConfig
+from wtal.synthdata import DataError, VideoSample
 
 
 def reference_csv(path, attention, factor, pseudo=None):
@@ -154,3 +166,158 @@ class TestAttentionSvg:
         reference_svg(tmp_path / "ref.svg", video, attention, [])
         assert (tmp_path / "new.svg").read_bytes() == \
             (tmp_path / "ref.svg").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# write_plot_bundle's worker processes
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A saved tiny dataset, models trained briefly on it and saved as
+    checkpoints, and both kinds of pseudo GT of its train split."""
+    root = tmp_path_factory.mktemp("plot_workers")
+    synthdata.save(synthdata.generate(synthdata.GeneratorConfig(
+        num_train=5, num_test=5, num_classes=3, feature_dim=8,
+        t_range=(15, 25), actions_per_video=(1, 2), seed=4)),
+        root / "data")
+    dataset = synthdata.load(root / "data")
+    model_cfg = ModelConfig(feature_dim=dataset.feature_dim,
+                            num_classes=dataset.num_classes)
+    refine_cfg = RefinementConfig(iterations=0, epochs_initial=3)
+    models = consensus.run_refinement(dataset.train, model_cfg,
+                                      LossConfig(), refine_cfg,
+                                      seed=4).models
+    for stream, model in models.items():
+        basemodel.save_checkpoint(root / f"{stream}.ckpt", model)
+    pseudo = {kind: consensus.compute_pseudo_gt(
+        models, dataset.train, RefinementConfig(kind=kind))
+        for kind in ("hard", "soft")}
+    return {"root": root, "dataset": dataset, "models": models,
+            "pseudo": pseudo, "beta": refine_cfg.beta}
+
+
+def plot_argv(trained, out):
+    root = trained["root"]
+    return ["plot", "--checkpoint-rgb", str(root / "rgb.ckpt"),
+            "--checkpoint-flow", str(root / "flow.ckpt"),
+            "--dataset", str(root / "data"), "--split", "test",
+            "--out", str(out)]
+
+
+def files_of(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPlotWorkers:
+    @pytest.mark.parametrize("case", ["gt", "hard", "soft", "single"])
+    def test_files_do_not_depend_on_workers(self, trained, tmp_path, case):
+        dataset = trained["dataset"]
+        videos = dataset.train if case in ("hard", "soft") else dataset.test
+        videos = videos[:1] if case == "single" else videos
+        pseudo = trained["pseudo"].get(case)
+        files = {}
+        for workers in (1, 2, 3, len(videos) + 2, None):
+            out = tmp_path / f"workers-{workers}"
+            pipeline.write_plot_bundle(out, trained["models"], videos,
+                                       LocalizationConfig(), trained["beta"],
+                                       pseudo_by_video=pseudo,
+                                       workers=workers)
+            assert_no_child_left()
+            files[workers] = files_of(out)
+        assert len(files[1]) == 2 * len(videos)
+        svg = "".join(data.decode() for name, data in files[1].items()
+                      if name.endswith(".svg"))
+        assert 'fill="#cccccc"' in svg           # GT rectangles
+        if case != "single":
+            assert 'stroke-width="1.5"' in svg   # proposal rectangles
+        csv_header = files[1][f"{videos[0].id}.csv"].split(b"\r\n")[0]
+        assert csv_header.endswith(b",pseudo_gt") == (pseudo is not None)
+        for workers, found in files.items():
+            assert found == files[1], workers
+
+    # with 5 videos, 2 workers give the parent videos 0, 2, 4 and a child
+    # 1, 3; 3 workers give the parent 0, 3 and the children 1, 4 and 2
+    @pytest.mark.parametrize("bad", [(1,), (2,), (0, 3), (1, 2), (3, 4)])
+    def test_failure_is_the_serial_one(self, trained, tmp_path, capsys,
+                                       monkeypatch, bad):
+        videos = trained["dataset"].test
+        out = tmp_path / "plots"
+        real = pipeline.write_plot_bundle
+        results = []
+        for workers in (1, 2, 3):
+            shutil.rmtree(out, ignore_errors=True)
+            for index in bad:
+                (out / f"{videos[index].id}.csv").mkdir(parents=True)
+            monkeypatch.setattr(pipeline, "write_plot_bundle",
+                                functools.partial(real, workers=workers))
+            code = cli.main(plot_argv(trained, out))
+            assert_no_child_left()
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            results.append((code, captured.err))
+        first = out / f"{videos[bad[0]].id}.csv"
+        assert results[0] == (2, f"error: [Errno 21] Is a directory: "
+                                 f"{str(first)!r}\n")
+        assert results[1:] == results[:1] * 2
+
+    @pytest.mark.parametrize("death", ["signal", "exit"])
+    def test_child_ending_without_report_is_data_error(self, trained,
+                                                       tmp_path, monkeypatch,
+                                                       death):
+        parent = os.getpid()
+        real = pipeline._plot_video
+
+        def plot_video(*args):
+            if os.getpid() != parent:
+                if death == "signal":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
+            real(*args)
+
+        monkeypatch.setattr(pipeline, "_plot_video", plot_video)
+        out = tmp_path / "plots"
+        with pytest.raises(DataError) as info:
+            pipeline.write_plot_bundle(out, trained["models"],
+                                       trained["dataset"].test,
+                                       LocalizationConfig(), trained["beta"],
+                                       workers=3)
+        assert_no_child_left()
+        message = str(info.value)
+        assert "\n" not in message
+        assert message.startswith(f"{out}: the plot worker for video "
+                                  "index 1 ended with ")
+
+    def test_forks_safely_with_blas_threads_live(self, trained, tmp_path,
+                                                 monkeypatch, capsys):
+        """``wtal plot`` in a fresh interpreter whose BLAS may start its
+        own threads, and whose stdout is a block-buffered pipe. A child
+        that wrote out the inherited buffer, returned into the caller or
+        ran the interpreter's exit handlers would add a line."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS", "PYTHONUNBUFFERED")}
+        src = str(pathlib.Path(wtal.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        script = ("import atexit, sys\n"
+                  "from wtal import cli\n"
+                  "print('before')\n"
+                  "atexit.register(print, 'at exit')\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        out = tmp_path / "plots"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *plot_argv(trained, out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            "before", f"wrote plot data for 5 videos -> {out}", "at exit"]
+        monkeypatch.setattr(pipeline, "write_plot_bundle", functools.partial(
+            pipeline.write_plot_bundle, workers=1))
+        assert cli.main(plot_argv(trained, tmp_path / "serial")) == 0
+        capsys.readouterr()
+        assert files_of(out) == files_of(tmp_path / "serial")
