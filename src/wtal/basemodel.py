@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numkit
 from .numkit import ShapeError
-from .synthdata import DataError
+from .synthdata import DataError, unique_keys
 
 CHECKPOINT_MAGIC = "wtal-checkpoint-v1"
 
@@ -257,7 +257,10 @@ def load_checkpoint(path):
     (hlen,) = struct.unpack_from("<I", data)
     offset = 4 + hlen
     try:
-        header = json.loads(data[4:offset].decode("utf-8"))
+        header = json.loads(data[4:offset].decode("utf-8"),
+                            object_pairs_hook=unique_keys)
+    except DataError as exc:
+        raise DataError(f"{path}: header: {exc}") from exc
     except (ValueError, RecursionError):
         header = None
     if not isinstance(header, dict) or \

@@ -179,7 +179,7 @@ def cmd_train(args):
     cfg = load_run_config(args.config, {"dataset": args.dataset,
                                         "output_dir": args.out,
                                         "seed": args.seed})
-    dataset = synthdata.load(cfg.dataset)
+    dataset = synthdata.load(cfg.dataset, split="train")
     sections = resolved_config(cfg, dataset, args.config)
     refine_cfg = sections["refinement"]
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -212,9 +212,10 @@ def cmd_train(args):
 
 def _load_inference_inputs(args):
     """Config sections, dataset, both stream models and the videos of
-    the chosen split, for localize and plot."""
+    the chosen split, for localize and plot; only that split's features
+    are read."""
     cfg = load_run_config(args.config)
-    dataset = synthdata.load(args.dataset)
+    dataset = synthdata.load(args.dataset, split=args.split)
     sections = resolved_config(cfg, dataset, args.config)
     models = {}
     for stream in STREAMS:
@@ -243,19 +244,31 @@ def cmd_localize(args):
 
 
 def cmd_eval(args):
+    """Score proposals against the GT of the manifest; no feature file is
+    read."""
     cfg = load_run_config(args.config)
-    dataset = synthdata.load(args.dataset)
-    sections = resolved_config(cfg, dataset, args.config)
+    manifest = synthdata.read_manifest(args.dataset)
+    sections = resolved_config(cfg, manifest, args.config)
+    manifest_path = os.path.join(args.dataset, "manifest.json")
+    videos = getattr(manifest, args.split)
     try:
-        gts = evaluation.gt_from_videos(getattr(dataset, args.split))
+        gts = evaluation.gt_from_videos(videos)
     except ValueError as exc:
-        raise DataError(f"{os.path.join(args.dataset, 'manifest.json')}: "
-                        f"{exc}") from exc
+        raise DataError(f"{manifest_path}: {exc}") from exc
+    if not gts:
+        raise DataError(f"{manifest_path}: no {args.split} video has a "
+                        "ground-truth segment")
     proposals = localization.load_proposals(args.proposals,
-                                            dataset.class_names)
+                                            manifest.class_names)
+    known = {video.id for video in videos}
+    for proposal in proposals:
+        if proposal.video_id not in known:
+            raise DataError(f"{args.proposals}: video "
+                            f"{proposal.video_id!r} is not a {args.split} "
+                            f"video of {manifest_path}")
     report = evaluation.evaluate(proposals, gts,
                                  sections["evaluation"].thresholds,
-                                 dataset.num_classes)
+                                 manifest.num_classes)
     base = args.out
     evaluation.save_report(base + ".json", base + ".txt", report)
     sys.stdout.write(report.to_text())

@@ -63,27 +63,54 @@ def iou(a, b):
     return inter / union
 
 
-def _match(proposals, gts, threshold):
-    """Greedy matching in score order: each proposal takes the unmatched
-    same-video GT with highest IoU >= threshold, the first in gts order
-    on a tie. Returns TP flags in the sorted proposal order."""
-    pools = defaultdict(list)   # video id -> its unmatched GT, gts order
-    for g in gts:
-        pools[g.video_id].append(g)
-    flags = []
+def _overlaps(proposals, gts):
+    """The proposals ranked by (-score, start, video_id), input order on a
+    full tie, each with its (index into gts, IoU) pairs of IoU > 0
+    against the GT of its own video, in gts order. Every IoU is computed
+    here once and serves every threshold."""
+    pools = defaultdict(list)   # video id -> [(index into gts, GT)]
+    for gi, g in enumerate(gts):
+        pools[g.video_id].append((gi, g))
+    ranked = []
     for p in sorted(proposals, key=lambda p: (-p.score, p.start, p.video_id)):
-        pool = pools[p.video_id]
+        pairs = []
+        for gi, g in pools.get(p.video_id, ()):
+            overlap = iou((p.start, p.end), (g.start, g.end))
+            if overlap > 0:     # thresholds lie in (0, 1]
+                pairs.append((gi, overlap))
+        ranked.append(pairs)
+    return ranked
+
+
+def _match(overlaps, threshold):
+    """Greedy matching in rank order over _overlaps records: each
+    proposal takes the unmatched GT with highest IoU >= threshold, the
+    first in gts order on a tie. Returns the TP flags in rank order."""
+    taken = set()
+    flags = []
+    for pairs in overlaps:
         best = -1
         best_iou = 0.0
-        for gi, g in enumerate(pool):
-            overlap = iou((p.start, p.end), (g.start, g.end))
-            if overlap >= threshold and overlap > best_iou:
+        for gi, overlap in pairs:
+            if overlap >= threshold and overlap > best_iou \
+                    and gi not in taken:
                 best = gi
                 best_iou = overlap
         if best >= 0:
-            del pool[best]
+            taken.add(best)
         flags.append(best >= 0)
     return flags
+
+
+def _ap_of_flags(flags, num_gt):
+    """All-point average precision of TP flags in rank order."""
+    tp = 0
+    total = 0.0
+    for rank, flag in enumerate(flags, start=1):
+        if flag:
+            tp += 1
+            total += tp / rank
+    return total / num_gt
 
 
 def average_precision(proposals, gts, iou_threshold):
@@ -94,14 +121,8 @@ def average_precision(proposals, gts, iou_threshold):
     """
     if not gts:
         return None
-    flags = _match(proposals, gts, iou_threshold)
-    tp = 0
-    total = 0.0
-    for rank, flag in enumerate(flags, start=1):
-        if flag:
-            tp += 1
-            total += tp / rank
-    return total / len(gts)
+    return _ap_of_flags(_match(_overlaps(proposals, gts), iou_threshold),
+                        len(gts))
 
 
 @dataclass
@@ -155,34 +176,47 @@ def _by_category(items):
     return groups
 
 
-def map_at(proposals, gts, thresholds, num_classes):
+def class_overlaps(proposals, gts):
+    """{category: (_overlaps records of its proposals against its GT,
+    its GT count)} for each category that has GT. map_at and
+    precision_recall_f take it to share one IoU pass."""
+    by_class_props = _by_category(proposals)
+    return {c: (_overlaps(by_class_props[c], class_gts), len(class_gts))
+            for c, class_gts in _by_category(gts).items()}
+
+
+def map_at(proposals, gts, thresholds, num_classes, overlaps=None):
     """Mean over classes of AP at each threshold, plus the average mAP
-    over the threshold list. Classes with no GT are excluded."""
+    over the threshold list. Classes with no GT are excluded. overlaps,
+    if given, is class_overlaps(proposals, gts)."""
     if not gts:
         raise ValueError("no ground truth segments")
+    if overlaps is None:
+        overlaps = class_overlaps(proposals, gts)
     classes = range(1, num_classes + 1)
-    by_class_props = _by_category(proposals)
-    by_class_gts = _by_category(gts)
     notes = [f"class {c}: no ground truth, excluded" for c in classes
-             if c not in by_class_gts]
+             if c not in overlaps]
     per_class = {}
     map_values = {}
     for threshold in thresholds:
-        aps = {c: average_precision(by_class_props[c], by_class_gts[c],
-                                    threshold) for c in classes}
+        aps = {c: _ap_of_flags(_match(overlaps[c][0], threshold),
+                               overlaps[c][1])
+               if c in overlaps else None for c in classes}
         per_class[threshold] = aps
         valid = [ap for ap in aps.values() if ap is not None]
         map_values[threshold] = sum(valid) / len(valid) if valid else 0.0
     return per_class, map_values, notes
 
 
-def precision_recall_f(proposals, gts, iou_threshold=0.5):
+def precision_recall_f(proposals, gts, iou_threshold=0.5, overlaps=None):
     """Detection (precision, recall, F, TP count) at one IoU threshold,
-    greedy matching per class and per video in descending score order."""
-    by_class_props = _by_category(proposals)
+    greedy matching per class and per video in descending score order.
+    overlaps, if given, is class_overlaps(proposals, gts)."""
+    if overlaps is None:
+        overlaps = class_overlaps(proposals, gts)
     # a class with proposals but no GT adds no TP
-    tp = sum(sum(_match(by_class_props[c], class_gts, iou_threshold))
-             for c, class_gts in _by_category(gts).items())
+    tp = sum(sum(_match(records, iou_threshold))
+             for records, _ in overlaps.values())
     n_props = len(proposals)
     n_gt = len(gts)
     precision = tp / n_props if n_props else 0.0
@@ -193,10 +227,13 @@ def precision_recall_f(proposals, gts, iou_threshold=0.5):
 
 
 def evaluate(proposals, gts, thresholds, num_classes):
-    """Full report: mAP at each threshold plus P/R/F at IoU 0.5."""
+    """Full report: mAP at each threshold plus P/R/F at IoU 0.5, from one
+    IoU pass."""
+    overlaps = class_overlaps(proposals, gts)
     per_class, map_values, notes = map_at(proposals, gts, thresholds,
-                                          num_classes)
-    precision, recall, f, tp = precision_recall_f(proposals, gts, 0.5)
+                                          num_classes, overlaps)
+    precision, recall, f, tp = precision_recall_f(proposals, gts, 0.5,
+                                                  overlaps)
     return EvalReport(
         thresholds=list(thresholds),
         map_at_threshold=map_values,

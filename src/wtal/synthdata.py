@@ -281,19 +281,33 @@ def _read_features(where, path, t, d):
     return features
 
 
+def unique_keys(pairs):
+    """A json object_pairs_hook: the dict of pairs; a key that occurs
+    twice is a DataError naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DataError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def read_json(path):
     """The JSON document in the file at path. A missing file, bytes that
-    are not UTF-8, invalid JSON and nesting too deep to parse are each a
-    one-line DataError naming the path."""
+    are not UTF-8, invalid JSON, a key repeated within one object and
+    nesting too deep to parse are each a one-line DataError naming the
+    path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError as exc:
         raise DataError(f"{path}: file not found") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON at line {exc.lineno}, column "
                         f"{exc.colno}: {exc.msg}") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:
+    except (DataError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
@@ -306,7 +320,24 @@ def _integer(where, key, value, least):
     return value
 
 
-def load(directory):
+@dataclass
+class ManifestEntry:
+    """One checked video entry of a manifest; its features are not
+    read."""
+    id: str
+    label: np.ndarray                 # (C,)
+    num_snippets: int
+    rgb_path: str
+    flow_path: str
+    gt_segments: list | None
+    where: str                        # "<manifest path>: video <id>"
+
+
+def read_manifest(directory):
+    """The checked manifest of the dataset in directory, as a Dataset
+    whose splits hold ManifestEntry objects. No feature file is opened.
+    Every fault is a one-line DataError naming manifest.json and the
+    field."""
     manifest_path = os.path.join(directory, "manifest.json")
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
@@ -355,9 +386,6 @@ def load(directory):
                 and all(map(finite_number, label))):
             raise DataError(f"{where}: field 'label' is not a list of {c} "
                             "finite numbers")
-        label = np.asarray(label, dtype=np.float64)
-        rgb, flow = (_read_features(where, os.path.join(directory, name), t, d)
-                     for name in (entry["rgb_file"], entry["flow_file"]))
         gt = entry.get("gt_segments")
         if gt is not None:
             if not (isinstance(gt, list) and all(
@@ -370,8 +398,35 @@ def load(directory):
                 if not (1 <= s <= e <= t) or not (1 <= cat <= c):
                     raise DataError(f"{where}: field 'gt_segments' holds "
                                     f"invalid segment {[s, e, cat]}")
-        sample = VideoSample(id=entry["id"], label=label, rgb=rgb,
-                             flow=flow, gt_segments=gt)
-        splits[split].append(sample)
+        splits[split].append(ManifestEntry(
+            id=entry["id"], label=np.asarray(label, dtype=np.float64),
+            num_snippets=t,
+            rgb_path=os.path.join(directory, entry["rgb_file"]),
+            flow_path=os.path.join(directory, entry["flow_file"]),
+            gt_segments=gt, where=where))
     return Dataset(class_names=class_names, feature_dim=d,
                    train=splits["train"], test=splits["test"])
+
+
+def load(directory, split=None):
+    """The dataset in directory with the features of the videos of split
+    ("train" or "test"), or of both splits when split is None; the other
+    split is left empty and none of its feature files is opened."""
+    if split not in (None, "train", "test"):
+        raise ValueError(f"unknown split {split!r}")
+    manifest = read_manifest(directory)
+    d = manifest.feature_dim
+
+    def read(entry):
+        rgb, flow = (_read_features(entry.where, path, entry.num_snippets, d)
+                     for path in (entry.rgb_path, entry.flow_path))
+        return VideoSample(id=entry.id, label=entry.label, rgb=rgb,
+                           flow=flow, gt_segments=entry.gt_segments)
+
+    def videos(name):
+        if split not in (None, name):
+            return []
+        return [read(entry) for entry in getattr(manifest, name)]
+
+    return Dataset(class_names=manifest.class_names, feature_dim=d,
+                   train=videos("train"), test=videos("test"))

@@ -66,6 +66,9 @@ def inputs(workspace, proposals, tmp_path_factory):
         shutil.copy(workspace["run"] / f"iter1_{stream}.ckpt",
                     root / f"{stream}.ckpt")
     shutil.copy(proposals, root / "proposals.json")
+    # no proposal, so that a failure of eval on a mutated manifest is
+    # the manifest's own and not a mismatch with the proposals
+    (root / "none.json").write_text('{"results": {}}')
     (root / "config.json").write_text("{}")
     models = ["--checkpoint-rgb", str(root / "rgb.ckpt"),
               "--checkpoint-flow", str(root / "flow.ckpt"),
@@ -80,6 +83,10 @@ def inputs(workspace, proposals, tmp_path_factory):
         "config": (root / "config.json",
                    evaluate + ["--config", str(root / "config.json")]),
         "manifest": (data / "manifest.json", localize),
+        "eval-manifest": (data / "manifest.json",
+                          ["eval", "--proposals", str(root / "none.json"),
+                           "--dataset", str(data),
+                           "--out", str(root / "report")]),
         "pseudo-gt": (pseudo / "train_0000.csv",
                       ["plot", *models, "--split", "train",
                        "--pseudo-gt-dir", str(pseudo),
@@ -735,11 +742,192 @@ class TestPlot:
         assert str(pdir) in err and "test video" in err
 
 
+def dataset_copy(workspace, tmp_path, split, defect):
+    """A copy of the workspace dataset: intact (``defect`` "intact"),
+    with the feature files of the videos of ``split`` (of every video
+    when None) deleted ("deleted"), or with a NaN in the first video of
+    ``split`` ("nan")."""
+    if defect == "nan":
+        return poisoned_copy(workspace, tmp_path, split, np.nan)[0]
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    if defect == "deleted":
+        manifest = json.loads((data / "manifest.json").read_text())
+        for entry in manifest["videos"]:
+            if split in (None, entry["split"]):
+                (data / entry["rgb_file"]).unlink()
+                (data / entry["flow_file"]).unlink()
+    return data
+
+
+def tree_bytes(root):
+    """{relative path: bytes} of every file under root."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestReadsOnlyWhatItUses:
+    def test_eval_reads_no_feature_file(self, workspace, proposals,
+                                        tmp_path):
+        reports = []
+        for defect in ("intact", "deleted"):
+            data = dataset_copy(workspace, tmp_path / defect, None, defect)
+            out = tmp_path / defect / "report"
+            assert cli.main(["eval", "--proposals", str(proposals),
+                             "--dataset", str(data),
+                             "--out", str(out)]) == 0
+            reports.append([(tmp_path / defect / f"report.{ext}")
+                            .read_bytes() for ext in ("json", "txt")])
+        assert not list((tmp_path / "deleted" / "data").glob("*.bin"))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("defect", ["deleted", "nan"])
+    @pytest.mark.parametrize("command", ["localize", "plot"])
+    def test_inference_ignores_the_other_split(self, workspace, tmp_path,
+                                               command, defect):
+        run_dir = workspace["run"]
+        outputs = []
+        for kind in ("intact", defect):
+            data = dataset_copy(workspace, tmp_path / kind, "train", kind)
+            out = tmp_path / kind / "out"
+            out_arg = out / "p.json" if command == "localize" else out
+            out.mkdir(exist_ok=True)
+            assert cli.main([
+                command,
+                "--checkpoint-rgb", str(run_dir / "iter1_rgb.ckpt"),
+                "--checkpoint-flow", str(run_dir / "iter1_flow.ckpt"),
+                "--dataset", str(data), "--split", "test",
+                "--out", str(out_arg)]) == 0
+            outputs.append(tree_bytes(out))
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("defect", ["deleted", "nan"])
+    def test_train_ignores_the_test_split(self, workspace, tmp_path,
+                                          defect):
+        outputs = []
+        for kind in ("intact", defect):
+            data = dataset_copy(workspace, tmp_path / kind, "test", kind)
+            out = tmp_path / kind / "run"
+            assert cli.main(["train", "--config", str(workspace["config"]),
+                             "--dataset", str(data), "--out", str(out),
+                             "--seed", "5", "--dump-pseudo-gt"]) == 0
+            files = tree_bytes(out)
+            resolved = json.loads(files.pop("resolved_config.json"))
+            assert resolved.pop("dataset") == str(data)
+            assert resolved.pop("output_dir") == str(out)
+            outputs.append((files, resolved))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == {
+            name: data for name, data in tree_bytes(workspace["run"]).items()
+            if name != "resolved_config.json"}
+
+
+class TestRejectedInputs:
+    def test_proposal_for_unknown_video(self, workspace, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"results": {"no_such_video": [
+            {"label": "action_1", "score": 0.5, "segment": [1.0, 5.0]}]}}))
+        assert cli.main(["eval", "--proposals", str(path),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: video 'no_such_video' is "
+                              "not a test video of "), err
+        assert not list(tmp_path.glob("report*"))
+
+    def test_proposal_for_video_of_other_split(self, workspace, tmp_path,
+                                               capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"results": {"train_0000": [
+            {"label": "action_1", "score": 0.5, "segment": [1.0, 5.0]}]}}))
+        assert cli.main(["eval", "--proposals", str(path),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(tmp_path / "report")]) == 2
+        assert "'train_0000' is not a test video" in capsys.readouterr().err
+        assert cli.main(["eval", "--proposals", str(path),
+                         "--dataset", str(workspace["data"]),
+                         "--split", "train",
+                         "--out", str(tmp_path / "report")]) == 0
+
+    def test_split_without_gt_segments(self, workspace, tmp_path, capsys):
+        data = dataset_copy(workspace, tmp_path, None, "intact")
+        manifest = json.loads((data / "manifest.json").read_text())
+        for entry in manifest["videos"]:
+            entry["gt_segments"] = []
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        path = tmp_path / "p.json"
+        path.write_text('{"results": {}}')
+        assert cli.main(["eval", "--proposals", str(path),
+                         "--dataset", str(data),
+                         "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {data / 'manifest.json'}: no test video has "
+                       "a ground-truth segment\n")
+
+    def test_repeated_proposal_video(self, workspace, proposals, tmp_path,
+                                     capsys):
+        text = proposals.read_text()
+        assert text.startswith('{\n  "results": {\n')
+        path = tmp_path / "p.json"
+        path.write_text(text.replace('"results": {',
+                                     '"results": {"test_0001": [],', 1))
+        assert cli.main(["eval", "--proposals", str(path),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(tmp_path / "report")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: repeated key 'test_0001'\n"
+
+    def test_repeated_config_section(self, workspace, proposals, tmp_path,
+                                     capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"evaluation": {"thresholds": [0.5]}, '
+                          '"evaluation": {}}')
+        assert cli.main(["eval", "--config", str(config),
+                         "--proposals", str(proposals),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(tmp_path / "report")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {config}: repeated key 'evaluation'\n"
+
+    def test_repeated_manifest_field(self, workspace, proposals, tmp_path,
+                                     capsys):
+        data = dataset_copy(workspace, tmp_path, None, "intact")
+        manifest = data / "manifest.json"
+        manifest.write_text(manifest.read_text().replace(
+            '"C": 3,', '"C": 3, "C": 3,', 1))
+        assert cli.main(["eval", "--proposals", str(proposals),
+                         "--dataset", str(data),
+                         "--out", str(tmp_path / "report")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {manifest}: repeated key 'C'\n"
+
+    def test_repeated_checkpoint_header_key(self, workspace, tmp_path,
+                                            capsys):
+        run_dir = workspace["run"]
+        data = (run_dir / "iter1_rgb.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<I", data[:4])
+        blob = data[4:4 + hlen].replace(b'{"config": ',
+                                        b'{"meta": {}, "config": ', 1)
+        assert len(blob) > hlen
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(struct.pack("<I", len(blob)) + blob
+                        + data[4 + hlen:])
+        assert cli.main(["localize", "--checkpoint-rgb", str(bad),
+                         "--checkpoint-flow",
+                         str(run_dir / "iter1_flow.ckpt"),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(tmp_path / "p.json")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: header: repeated key 'meta'\n"
+
+
 class TestUnreadableFiles:
     @pytest.mark.parametrize("target,defect", [
         ("proposals", "bytes"), ("config", "bytes"), ("manifest", "bytes"),
         ("pseudo-gt", "bytes"), ("proposals", "deep"), ("config", "deep"),
         ("manifest", "deep"), ("checkpoint", "deep"),
+        ("eval-manifest", "bytes"), ("eval-manifest", "deep"),
     ])
     def test_unreadable_file_is_named(self, inputs, target, defect):
         content = {"bytes": b"\xff\xfe",
@@ -753,7 +941,8 @@ class TestUnreadableFiles:
         assert err.startswith(f"error: {path}: "), err
 
     @pytest.mark.parametrize("target", ["proposals", "manifest", "pseudo-gt",
-                                        "checkpoint", "features"])
+                                        "checkpoint", "features",
+                                        "eval-manifest"])
     @settings(max_examples=50, deadline=None)
     @given(edits=EDITS)
     def test_mutated_file_exits_0_or_names_it(self, inputs, target, edits):

@@ -1,5 +1,9 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtal import evaluation
 from wtal.evaluation import (GroundTruthSegment, average_precision,
@@ -360,3 +364,95 @@ class TestEvaluateReport:
 
         with pytest.raises(ValueError):
             gt_from_videos([FakeVideo()])
+
+
+def reference_match(proposals, gts, threshold):
+    """The greedy matcher as a per-threshold loop that computes every IoU
+    itself: each proposal in score order takes the unmatched same-video
+    GT with highest IoU >= threshold, the first in gts order on a tie."""
+    pools = defaultdict(list)
+    for g in gts:
+        pools[g.video_id].append(g)
+    flags = []
+    for p in sorted(proposals, key=lambda p: (-p.score, p.start, p.video_id)):
+        pool = pools[p.video_id]
+        best = -1
+        best_iou = 0.0
+        for gi, g in enumerate(pool):
+            overlap = iou((p.start, p.end), (g.start, g.end))
+            if overlap >= threshold and overlap > best_iou:
+                best = gi
+                best_iou = overlap
+        if best >= 0:
+            del pool[best]
+        flags.append(best >= 0)
+    return flags
+
+
+def reference_ap(proposals, gts, threshold):
+    if not gts:
+        return None
+    tp = 0
+    total = 0.0
+    for rank, flag in enumerate(reference_match(proposals, gts, threshold),
+                                start=1):
+        if flag:
+            tp += 1
+            total += tp / rank
+    return total / len(gts)
+
+
+# an integer grid, few videos and classes and three scores, so that
+# tied scores, tied IoUs and duplicate segments are common
+SEGMENTS = st.tuples(st.sampled_from(["v1", "v2", "v3"]),
+                     st.integers(0, 6), st.integers(1, 4),
+                     st.sampled_from([1, 1, 2, 3]))
+THRESHOLD_LISTS = st.lists(st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 0.6,
+                                            2 / 3, 0.75, 0.9, 1.0]),
+                           min_size=1, max_size=5, unique=True)
+
+
+class TestSharedOverlaps:
+    @settings(max_examples=200, deadline=None)
+    @given(gt_specs=st.lists(SEGMENTS, min_size=1, max_size=10),
+           prop_specs=st.lists(st.tuples(SEGMENTS,
+                                         st.sampled_from([0.2, 0.5, 0.8])),
+                               max_size=14),
+           thresholds=THRESHOLD_LISTS)
+    def test_equal_to_per_threshold_reference(self, gt_specs, prop_specs,
+                                              thresholds):
+        gts = [gt(video=v, start=float(s), end=float(s + n), category=c)
+               for v, s, n, c in gt_specs]
+        props = [prop(video=v, start=float(s), end=float(s + n),
+                      category=c, score=score)
+                 for (v, s, n, c), score in prop_specs]
+        per_class, map_values, _ = map_at(props, gts, thresholds, 3)
+        for threshold in thresholds:
+            want = {c: reference_ap([p for p in props if p.category == c],
+                                    [g for g in gts if g.category == c],
+                                    threshold) for c in (1, 2, 3)}
+            assert per_class[threshold] == want
+            valid = [ap for ap in want.values() if ap is not None]
+            assert map_values[threshold] == sum(valid) / len(valid)
+            tp = sum(sum(reference_match(
+                [p for p in props if p.category == c],
+                [g for g in gts if g.category == c], threshold))
+                for c in {g.category for g in gts})
+            assert precision_recall_f(props, gts, threshold)[3] == tp
+        report = evaluate(props, gts, thresholds, 3)
+        assert report.map_at_threshold == map_values
+        assert report.tp == precision_recall_f(props, gts, 0.5)[3]
+
+    def test_each_iou_computed_once(self, monkeypatch):
+        props, gts = tied_fixture(0)
+        pairs = sum(p.video_id == g.video_id and p.category == g.category
+                    for p in props for g in gts)
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return iou(a, b)
+
+        monkeypatch.setattr(evaluation, "iou", counted)
+        evaluate(props, gts, [0.1, 0.5, 0.9], 3)
+        assert len(calls) == pairs

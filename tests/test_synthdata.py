@@ -214,3 +214,87 @@ class TestSaveLoad:
         synthdata.save(dataset, dir_b)
         for path in sorted(dir_a.iterdir()):
             assert path.read_bytes() == (dir_b / path.name).read_bytes()
+
+
+def feature_files(directory, split=None):
+    """Names of the feature files of the manifest's videos of split, or
+    of every video when split is None."""
+    manifest = json.loads((directory / "manifest.json").read_text())
+    return [entry[key] for entry in manifest["videos"]
+            if split in (None, entry["split"])
+            for key in ("rgb_file", "flow_file")]
+
+
+class TestReadManifest:
+    def test_opens_no_feature_file(self, tmp_path):
+        dataset = synthdata.generate(small_config())
+        synthdata.save(dataset, tmp_path)
+        for name in feature_files(tmp_path):
+            (tmp_path / name).unlink()
+        manifest = synthdata.read_manifest(tmp_path)
+        assert manifest.class_names == dataset.class_names
+        assert manifest.feature_dim == dataset.feature_dim
+        for split in ("train", "test"):
+            got, want = getattr(manifest, split), getattr(dataset, split)
+            assert [e.id for e in got] == [v.id for v in want]
+            assert [e.num_snippets for e in got] == \
+                [v.num_snippets for v in want]
+            assert [e.gt_segments for e in got] == \
+                [list(map(tuple, v.gt_segments)) for v in want]
+            for entry, video in zip(got, want):
+                np.testing.assert_array_equal(entry.label, video.label)
+
+
+class TestLoadSplit:
+    @pytest.mark.parametrize("split,other", [("train", "test"),
+                                             ("test", "train")])
+    def test_reads_only_its_split(self, tmp_path, split, other):
+        dataset = synthdata.generate(small_config())
+        synthdata.save(dataset, tmp_path)
+        for name in feature_files(tmp_path, other):
+            (tmp_path / name).unlink()
+        loaded = synthdata.load(tmp_path, split=split)
+        assert getattr(loaded, other) == []
+        want = getattr(dataset, split)
+        assert [v.id for v in getattr(loaded, split)] == [v.id for v in want]
+        for orig, back in zip(want, getattr(loaded, split)):
+            np.testing.assert_array_equal(orig.rgb, back.rgb)
+            np.testing.assert_array_equal(orig.flow, back.flow)
+        with pytest.raises(DataError, match="missing feature file"):
+            synthdata.load(tmp_path)
+
+    def test_checks_the_features_it_reads(self, tmp_path):
+        synthdata.save(synthdata.generate(small_config()), tmp_path)
+        path = tmp_path / feature_files(tmp_path, "test")[0]
+        values = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
+        values[0] = np.nan
+        path.write_bytes(values.tobytes())
+        synthdata.load(tmp_path, split="train")
+        with pytest.raises(DataError, match="not finite"):
+            synthdata.load(tmp_path, split="test")
+
+    def test_unknown_split_rejected(self, tmp_path):
+        synthdata.save(synthdata.generate(small_config()), tmp_path)
+        with pytest.raises(ValueError, match="unknown split 'val'"):
+            synthdata.load(tmp_path, split="val")
+
+
+class TestRepeatedKeys:
+    @pytest.mark.parametrize("text,key", [
+        ('{"a": 1, "a": 2}', "a"),
+        ('{"a": {"b": [], "c": 1, "b": [1]}}', "b"),
+        ('[{"x": 1}, {"y": 1, "y": 1}]', "y"),
+    ], ids=["top-level", "nested", "in-list"])
+    def test_repeated_key_is_data_error(self, tmp_path, text, key):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            synthdata.read_json(path)
+        assert str(info.value) == f"{path}: repeated key {key!r}"
+
+    def test_distinct_keys_read_in_order(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"b": 1, "a": {"a": 2, "b": 3}}')
+        doc = synthdata.read_json(path)
+        assert doc == {"b": 1, "a": {"a": 2, "b": 3}}
+        assert list(doc) == ["b", "a"]
