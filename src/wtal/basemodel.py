@@ -13,33 +13,11 @@ from types import MappingProxyType
 import numpy as np
 
 from . import numkit
+from .config import ModelConfig
+from .formats import DataError, unique_keys
 from .numkit import ShapeError
-from .synthdata import DataError, unique_keys
 
 CHECKPOINT_MAGIC = "wtal-checkpoint-v1"
-
-
-@dataclass
-class ModelConfig:
-    feature_dim: int
-    num_classes: int
-    embed_dim: int | None = None   # None -> same as feature_dim
-    conv_layers: int = 2
-    kernel_size: int = 3
-
-    def __post_init__(self):
-        if self.embed_dim is None:
-            self.embed_dim = self.feature_dim
-        for name, value in asdict(self).items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer")
-        if self.kernel_size % 2 == 0 or self.kernel_size < 1:
-            raise ValueError("kernel_size must be odd")
-        if min(self.feature_dim, self.conv_layers, self.embed_dim) < 1:
-            raise ValueError("feature_dim, conv_layers and embed_dim must "
-                             "be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
 
 
 def param_layout(config):

@@ -6,23 +6,20 @@ failure during training.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 import types
 import typing
 
-import numpy as np
-
-from . import basemodel, evaluation, localization, pipeline, synthdata
-from .basemodel import ModelConfig
-from .consensus import (STREAMS, NumericError, RefinementConfig,
-                        load_pseudo_gt, run_refinement, save_pseudo_gt,
-                        save_training_log)
+# numpy-free imports only: the numeric modules are imported by the
+# commands that compute with them, so eval loads no numpy
+from . import evaluation, formats
+from .config import (LocalizationConfig, LossConfig, ModelConfig,
+                     RefinementConfig)
 from .evaluation import EvaluationConfig
-from .localization import LocalizationConfig
-from .losses import LossConfig
-from .synthdata import DataError, GeneratorConfig, finite_number
+from .formats import DataError, NumericError, finite_number
 
 
 class UsageError(Exception):
@@ -110,8 +107,10 @@ def _check_fields(where, raw, cls):
 def load_run_config(path=None, overrides=None):
     cfg = RunConfig()
     if path is not None:
-        raw = synthdata.read_json(path)
+        raw = formats.read_json(path)
         _check_fields(path, raw, RunConfig)
+        if "seed" in raw:
+            formats.integer_field(path, "seed", raw["seed"], least=0)
         for name, cls in SECTIONS.items():
             _check_fields(f"{path}: config section {name!r}",
                           raw.get(name, {}), cls)
@@ -153,7 +152,29 @@ def write_resolved_config(cfg, path):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _computes(command):
+    """A command that computes with numpy. It runs under
+    np.errstate(all="ignore"), so a diverging run reports itself once, as
+    a NumericError; eval, which does not compute, never imports numpy."""
+    @functools.wraps(command)
+    def run(args):
+        import numpy as np
+        with np.errstate(all="ignore"):
+            return command(args)
+    return run
+
+
+def run_refinement(train_videos, model_cfg, loss_cfg, refine_cfg, seed):
+    """consensus.run_refinement, called by cmd_train under this name,
+    which is where the benchmark's tracer wraps it."""
+    from . import consensus
+    return consensus.run_refinement(train_videos, model_cfg, loss_cfg,
+                                    refine_cfg, seed)
+
+
+@_computes
 def cmd_gen_data(args):
+    from . import synthdata
     fields = {
         "num_train": args.videos,
         "num_test": args.test_videos,
@@ -165,7 +186,7 @@ def cmd_gen_data(args):
         fields["rgb_false_positive_rate"] = args.confounder_rate
     if args.flow_miss_rate is not None:
         fields["flow_miss_rate"] = args.flow_miss_rate
-    config = GeneratorConfig(**fields)
+    config = synthdata.GeneratorConfig(**fields)
     dataset = synthdata.generate(config)
     synthdata.save(dataset, args.out)
     n_gt = sum(len(v.gt_segments) for v in dataset.all_videos())
@@ -175,7 +196,11 @@ def cmd_gen_data(args):
     return 0
 
 
+@_computes
 def cmd_train(args):
+    # consensus is imported here, so that the traced span of
+    # run_refinement times no import
+    from . import basemodel, consensus, synthdata
     cfg = load_run_config(args.config, {"dataset": args.dataset,
                                         "output_dir": args.out,
                                         "seed": args.seed})
@@ -195,15 +220,16 @@ def cmd_train(args):
                 os.path.join(cfg.output_dir,
                              f"iter{iteration}_{stream}.ckpt"),
                 model, meta=meta)
-    save_training_log(os.path.join(cfg.output_dir, "training_log.csv"),
-                      result.log_rows)
+    consensus.save_training_log(
+        os.path.join(cfg.output_dir, "training_log.csv"), result.log_rows)
     if args.dump_pseudo_gt:
         for iteration, pseudo in enumerate(result.pseudo_gt[1:], start=1):
             pdir = os.path.join(cfg.output_dir, "pseudo_gt",
                                 f"iter{iteration}")
             os.makedirs(pdir, exist_ok=True)
             for vid, values in sorted(pseudo.items()):
-                save_pseudo_gt(os.path.join(pdir, f"{vid}.csv"), values)
+                consensus.save_pseudo_gt(os.path.join(pdir, f"{vid}.csv"),
+                                         values)
     n_ckpt = 2 * len(result.checkpoints)
     print(f"trained {refine_cfg.iterations + 1} iterations, wrote "
           f"{n_ckpt} checkpoints and training_log.csv -> {cfg.output_dir}")
@@ -214,6 +240,8 @@ def _load_inference_inputs(args):
     """Config sections, dataset, both stream models and the videos of
     the chosen split, for localize and plot; only that split's features
     are read."""
+    from . import basemodel, synthdata
+    from .consensus import STREAMS
     cfg = load_run_config(args.config)
     dataset = synthdata.load(args.dataset, split=args.split)
     sections = resolved_config(cfg, dataset, args.config)
@@ -232,7 +260,9 @@ def _load_inference_inputs(args):
     return sections, dataset, models, getattr(dataset, args.split)
 
 
+@_computes
 def cmd_localize(args):
+    from . import localization, pipeline
     sections, dataset, models, videos = _load_inference_inputs(args)
     proposals = pipeline.localize_dataset(models, videos,
                                           sections["localization"],
@@ -245,9 +275,9 @@ def cmd_localize(args):
 
 def cmd_eval(args):
     """Score proposals against the GT of the manifest; no feature file is
-    read."""
+    read and no numeric module is imported."""
     cfg = load_run_config(args.config)
-    manifest = synthdata.read_manifest(args.dataset)
+    manifest = formats.read_manifest(args.dataset)
     sections = resolved_config(cfg, manifest, args.config)
     manifest_path = os.path.join(args.dataset, "manifest.json")
     videos = getattr(manifest, args.split)
@@ -258,8 +288,7 @@ def cmd_eval(args):
     if not gts:
         raise DataError(f"{manifest_path}: no {args.split} video has a "
                         "ground-truth segment")
-    proposals = localization.load_proposals(args.proposals,
-                                            manifest.class_names)
+    proposals = formats.load_proposals(args.proposals, manifest.class_names)
     known = {video.id for video in videos}
     for proposal in proposals:
         if proposal.video_id not in known:
@@ -275,7 +304,10 @@ def cmd_eval(args):
     return 0
 
 
+@_computes
 def cmd_plot(args):
+    from . import pipeline
+    from .consensus import load_pseudo_gt
     sections, _, models, videos = _load_inference_inputs(args)
     pseudo = {}
     if args.pseudo_gt_dir:
@@ -296,6 +328,19 @@ def cmd_plot(args):
 
 # ---------------------------------------------------------------------------
 
+def _seed(text):
+    """The value of --seed: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="wtal",
                      description="weakly-supervised temporal action "
@@ -308,7 +353,7 @@ def build_parser():
     p.add_argument("--test-videos", type=int, default=30)
     p.add_argument("--classes", type=int, default=5)
     p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--confounder-rate", type=float, default=None)
     p.add_argument("--flow-miss-rate", type=float, default=None)
     p.add_argument("--out", required=True)
@@ -318,7 +363,7 @@ def build_parser():
     p.add_argument("--config", default=None)
     p.add_argument("--dataset", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--dump-pseudo-gt", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -358,9 +403,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # a diverging run reports itself once, as a NumericError
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,5 @@
-"""Two-stream fusion, pseudo-ground-truth generation, and the iterative
-refinement training loop.
+"""Pseudo ground truth from the two streams' fused attention, and the
+iterative refinement training loop.
 
 Iteration 0 trains both streams with the video-level objective only.
 Before every later iteration, the per-stream checkpoints with the lowest
@@ -14,51 +14,10 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from . import basemodel, losses, numkit
-from .synthdata import DataError
+from .formats import DataError, NumericError
+from .numkit import fuse_attention
 
 STREAMS = ("rgb", "flow")
-
-
-class NumericError(RuntimeError):
-    """Non-finite loss during training; carries stream/epoch/video."""
-
-    def __init__(self, stream, iteration, epoch, video_id):
-        super().__init__(
-            f"non-finite loss: stream={stream} iteration={iteration} "
-            f"epoch={epoch} video={video_id}")
-        self.stream = stream
-        self.iteration = iteration
-        self.epoch = epoch
-        self.video_id = video_id
-
-
-@dataclass
-class RefinementConfig:
-    beta: float = 0.4            # fusion weight on the appearance stream
-    theta: float = 0.5           # hard pseudo-GT threshold
-    kind: str = "hard"           # "soft" | "hard"
-    iterations: int = 4
-    epochs_initial: int = 60
-    epochs_refine: int = 20
-    smoothing_kernel: int = 0    # 0 disables temporal max pooling
-    learning_rate: float = 1e-4
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if self.kind not in ("soft", "hard"):
-            raise ValueError("kind must be 'soft' or 'hard'")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.epochs_initial < 1 or self.epochs_refine < 1:
-            raise ValueError("epochs_initial and epochs_refine must be >= 1")
-        if self.smoothing_kernel < 0 or (self.smoothing_kernel
-                                         and self.smoothing_kernel % 2 == 0):
-            raise ValueError("smoothing_kernel must be 0 or odd")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be > 0")
 
 
 def save_pseudo_gt(path, values):
@@ -92,17 +51,6 @@ def load_pseudo_gt(path, num_snippets):
         raise DataError(f"{path}: 'pseudo_gt' of snippet {bad[0] + 1} is "
                         f"{cells[bad[0]]!r}, not in [0, 1]")
     return values
-
-
-def fuse_attention(rgb, flow, beta):
-    """Convex combination beta*rgb + (1-beta)*flow, elementwise."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    flow = np.asarray(flow, dtype=np.float64)
-    if rgb.shape != flow.shape:
-        raise ValueError("attention sequences differ in length")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    return beta * rgb + (1.0 - beta) * flow
 
 
 def max_pool_smooth(attention, kernel):

@@ -8,39 +8,16 @@ outer-inner contrastive score on the attention-weighted T-CAM. Proposals
 with non-positive scores are discarded.
 """
 
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import fuse_attention
-from .synthdata import DataError, finite_number, read_json
-
-
-@dataclass
-class LocalizationConfig:
-    upsample_factor: int = 8
-    attention_threshold: float = 0.5
-    top_k: int = 2
-    class_score_floor: float = 0.1
-
-    def __post_init__(self):
-        if self.upsample_factor < 1:
-            raise ValueError("upsample_factor must be >= 1")
-        if not 0.0 < self.attention_threshold < 1.0:
-            raise ValueError("attention_threshold must lie in (0, 1)")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-
-
-@dataclass
-class ActionProposal:
-    video_id: str
-    start: float      # snippet units
-    end: float
-    category: int     # 1-based
-    score: float
+# The proposals file format lives in formats. Its writer and reader are
+# also looked up here: cmd_localize calls save_proposals through this
+# module, and the benchmark's tracer wraps both at it.
+from .formats import (ActionProposal, load_proposals,  # noqa: F401
+                      save_proposals)
+from .numkit import fuse_attention
 
 
 def upsample_linear(sequence, factor):
@@ -145,72 +122,3 @@ def localize(video_id, rgb_out, flow_out, config, beta, mode="fused"):
                     category=category,
                     score=score))
     return proposals
-
-
-def proposals_to_json(proposals, class_names):
-    """Export shape: {"results": {video_id: [{label, score, segment}]}}."""
-    results = {}
-    for p in sorted(proposals, key=lambda p: (p.video_id, -p.score,
-                                              p.start, p.category)):
-        results.setdefault(p.video_id, []).append({
-            "label": class_names[p.category - 1],
-            "score": p.score,
-            "segment": [p.start, p.end],
-        })
-    return {"results": results}
-
-
-def _proposal_from_json(video_id, entry, name_to_index):
-    def invalid(key, expected):
-        found = f"is {entry[key]!r}" if key in entry else "is missing"
-        return DataError(f"video {video_id}: field {key!r} {found}, "
-                         f"expected {expected}")
-
-    if not isinstance(entry, dict):
-        raise DataError(f"video {video_id}: proposal {entry!r} is not an "
-                        "object")
-    label = entry.get("label")
-    if not isinstance(label, str) or label not in name_to_index:
-        raise invalid("label", "one of the dataset's class names")
-    if not finite_number(entry.get("score")):
-        raise invalid("score", "a finite number")
-    segment = entry.get("segment")
-    if not (isinstance(segment, list) and len(segment) == 2
-            and all(map(finite_number, segment))
-            and segment[0] < segment[1]):
-        raise invalid("segment", "two finite numbers, start < end")
-    return ActionProposal(video_id=video_id, start=float(segment[0]),
-                          end=float(segment[1]),
-                          category=name_to_index[label],
-                          score=float(entry["score"]))
-
-
-def proposals_from_json(payload, class_names):
-    """Proposals of a proposals_to_json payload; a malformed entry raises
-    DataError naming the video and the field."""
-    name_to_index = {name: i + 1 for i, name in enumerate(class_names)}
-    results = payload.get("results") if isinstance(payload, dict) else None
-    if not isinstance(results, dict):
-        raise DataError("field 'results' is not an object of video ids")
-    proposals = []
-    for video_id, entries in results.items():
-        if not isinstance(entries, list):
-            raise DataError(f"video {video_id}: proposals are not a list")
-        proposals.extend(_proposal_from_json(video_id, entry, name_to_index)
-                         for entry in entries)
-    return proposals
-
-
-def save_proposals(path, proposals, class_names):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(proposals_to_json(proposals, class_names), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_proposals(path, class_names):
-    payload = read_json(path)
-    try:
-        return proposals_from_json(payload, class_names)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc

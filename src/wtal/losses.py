@@ -5,22 +5,9 @@ Each loss returns its value together with the gradient needed by the
 model's backward pass.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 LOG_FLOOR = 1e-12
-
-
-@dataclass
-class LossConfig:
-    alpha: float = 0.1   # weight of the attention normalization term
-    gamma: float = 2.0   # weight of the pseudo-GT term
-    s: int = 8           # top/bottom fraction divisor: l = max(1, T // s)
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.gamma < 0 or self.s < 1:
-            raise ValueError("alpha and gamma must be >= 0, s >= 1")
 
 
 def classification_loss(y, y_hat):

@@ -1,5 +1,6 @@
 """Dense numeric kernel: layer primitives with explicit forward/backward
-passes, the Adam optimizer, and a finite-difference gradient checker.
+passes, the convex fusion of two streams, the Adam optimizer, and a
+finite-difference gradient checker.
 
 All arrays are float64 numpy arrays. Every backward function is a pure
 function of the recorded forward inputs, so there is no tape.
@@ -147,6 +148,25 @@ def softmax_backward(probs, d_probs):
     d_probs = _as_f64(d_probs)
     inner = (probs * d_probs).sum(axis=-1, keepdims=True)
     return probs * (d_probs - inner)
+
+
+# ---------------------------------------------------------------------------
+# two-stream fusion
+#
+# consensus, localization and pipeline each import it from here, never from
+# one another: the benchmark's tracer wraps each of those three names, and a
+# module that is first imported while it runs would otherwise bind an
+# already-wrapped function and count every call twice
+
+def fuse_attention(rgb, flow, beta):
+    """Convex combination beta*rgb + (1-beta)*flow, elementwise."""
+    rgb = np.asarray(rgb, dtype=np.float64)
+    flow = np.asarray(flow, dtype=np.float64)
+    if rgb.shape != flow.shape:
+        raise ValueError("attention sequences differ in length")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+    return beta * rgb + (1.0 - beta) * flow
 
 
 # ---------------------------------------------------------------------------

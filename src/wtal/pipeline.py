@@ -9,8 +9,9 @@ import sys
 import numpy as np
 
 from . import basemodel, evaluation, localization
-from .consensus import STREAMS, fuse_attention
-from .synthdata import DataError
+from .consensus import STREAMS
+from .formats import DataError
+from .numkit import fuse_attention
 
 
 def stream_outputs(models, video):

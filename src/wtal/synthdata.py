@@ -22,20 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class DataError(ValueError):
-    """Raised for invalid configurations or malformed dataset files."""
-
-
-def finite_number(value):
-    """Whether a parsed JSON value is a number with a finite float value;
-    a bool is not a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # an int too large for a float
-        return False
+from .formats import DataError, Dataset, read_manifest
 
 
 @dataclass
@@ -90,21 +77,6 @@ class VideoSample:
     def features(self, stream):
         """The (T, D) feature sequence of one stream, "rgb" or "flow"."""
         return self.rgb if stream == "rgb" else self.flow
-
-
-@dataclass
-class Dataset:
-    class_names: list
-    feature_dim: int
-    train: list
-    test: list
-
-    @property
-    def num_classes(self):
-        return len(self.class_names)
-
-    def all_videos(self):
-        return list(self.train) + list(self.test)
 
 
 def _place_segments(rng, t, lengths, occupied, gap=2, attempts=50):
@@ -217,7 +189,8 @@ def generate(config):
 
 
 # ---------------------------------------------------------------------------
-# on-disk format: manifest.json + raw little-endian float32 feature files
+# on-disk format: manifest.json (checked by formats.read_manifest) + raw
+# little-endian float32 feature files
 
 def save(dataset, directory):
     os.makedirs(directory, exist_ok=True)
@@ -281,133 +254,6 @@ def _read_features(where, path, t, d):
     return features
 
 
-def unique_keys(pairs):
-    """A json object_pairs_hook: the dict of pairs; a key that occurs
-    twice is a DataError naming it."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise DataError(f"repeated key {key!r}")
-            seen.add(key)
-    return obj
-
-
-def read_json(path):
-    """The JSON document in the file at path. A missing file, bytes that
-    are not UTF-8, invalid JSON, a key repeated within one object and
-    nesting too deep to parse are each a one-line DataError naming the
-    path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
-    except FileNotFoundError as exc:
-        raise DataError(f"{path}: file not found") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON at line {exc.lineno}, column "
-                        f"{exc.colno}: {exc.msg}") from exc
-    except (DataError, UnicodeDecodeError, RecursionError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
-def _integer(where, key, value, least):
-    """value if it is a JSON integer >= least, else a DataError naming
-    where and the field key."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise DataError(f"{where}: field {key!r} is {json.dumps(value)}, "
-                        f"expected an integer >= {least}")
-    return value
-
-
-@dataclass
-class ManifestEntry:
-    """One checked video entry of a manifest; its features are not
-    read."""
-    id: str
-    label: np.ndarray                 # (C,)
-    num_snippets: int
-    rgb_path: str
-    flow_path: str
-    gt_segments: list | None
-    where: str                        # "<manifest path>: video <id>"
-
-
-def read_manifest(directory):
-    """The checked manifest of the dataset in directory, as a Dataset
-    whose splits hold ManifestEntry objects. No feature file is opened.
-    Every fault is a one-line DataError naming manifest.json and the
-    field."""
-    manifest_path = os.path.join(directory, "manifest.json")
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict):
-        raise DataError(f"{manifest_path}: expected a JSON object")
-    for key in ("C", "D", "class_names", "videos"):
-        if key not in manifest:
-            raise DataError(f"{manifest_path}: missing field {key!r}")
-    c = _integer(manifest_path, "C", manifest["C"], least=2)
-    d = _integer(manifest_path, "D", manifest["D"], least=1)
-    class_names = manifest["class_names"]
-    entries = manifest["videos"]
-    if not (isinstance(class_names, list) and len(class_names) == c
-            and all(isinstance(name, str) for name in class_names)):
-        raise DataError(f"{manifest_path}: field 'class_names' is not a "
-                        f"list of C = {c} strings")
-    repeated = [n for i, n in enumerate(class_names) if n in class_names[:i]]
-    if repeated:
-        raise DataError(f"{manifest_path}: field 'class_names' is a list "
-                        f"that repeats {repeated[0]!r}")
-    if not isinstance(entries, list):
-        raise DataError(f"{manifest_path}: field 'videos' is not a list")
-    splits = {"train": [], "test": []}
-    seen = set()
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise DataError(f"{manifest_path}: video #{index} is not an "
-                            "object")
-        where = f"{manifest_path}: video {entry.get('id', f'#{index}')}"
-        for key in ("id", "T", "label", "rgb_file", "flow_file"):
-            if key not in entry:
-                raise DataError(f"{where}: missing field {key!r}")
-        for key in ("id", "rgb_file", "flow_file"):
-            if not isinstance(entry[key], str):
-                raise DataError(f"{where}: field {key!r} is "
-                                f"{json.dumps(entry[key])}, expected a string")
-        if entry["id"] in seen:
-            raise DataError(f"{where}: repeated video id")
-        seen.add(entry["id"])
-        split = entry.get("split", "train")
-        if split not in ("train", "test"):
-            raise DataError(f"{where}: unknown split {split!r} (expected "
-                            "'train' or 'test')")
-        t = _integer(where, "T", entry["T"], least=1)
-        label = entry["label"]
-        if not (isinstance(label, list) and len(label) == c
-                and all(map(finite_number, label))):
-            raise DataError(f"{where}: field 'label' is not a list of {c} "
-                            "finite numbers")
-        gt = entry.get("gt_segments")
-        if gt is not None:
-            if not (isinstance(gt, list) and all(
-                    isinstance(seg, list) and len(seg) == 3
-                    and all(type(v) is int for v in seg) for seg in gt)):
-                raise DataError(f"{where}: field 'gt_segments' is not a "
-                                "list of [start, end, category] integers")
-            gt = [tuple(seg) for seg in gt]
-            for s, e, cat in gt:
-                if not (1 <= s <= e <= t) or not (1 <= cat <= c):
-                    raise DataError(f"{where}: field 'gt_segments' holds "
-                                    f"invalid segment {[s, e, cat]}")
-        splits[split].append(ManifestEntry(
-            id=entry["id"], label=np.asarray(label, dtype=np.float64),
-            num_snippets=t,
-            rgb_path=os.path.join(directory, entry["rgb_file"]),
-            flow_path=os.path.join(directory, entry["flow_file"]),
-            gt_segments=gt, where=where))
-    return Dataset(class_names=class_names, feature_dim=d,
-                   train=splits["train"], test=splits["test"])
-
-
 def load(directory, split=None):
     """The dataset in directory with the features of the videos of split
     ("train" or "test"), or of both splits when split is None; the other
@@ -420,8 +266,8 @@ def load(directory, split=None):
     def read(entry):
         rgb, flow = (_read_features(entry.where, path, entry.num_snippets, d)
                      for path in (entry.rgb_path, entry.flow_path))
-        return VideoSample(id=entry.id, label=entry.label, rgb=rgb,
-                           flow=flow, gt_segments=entry.gt_segments)
+        return VideoSample(id=entry.id, label=np.array(entry.label),
+                           rgb=rgb, flow=flow, gt_segments=entry.gt_segments)
 
     def videos(name):
         if split not in (None, name):

@@ -14,10 +14,9 @@ import pytest
 from test_evaluation import gt, oracle_average_precision, prop
 from wtal import (basemodel, cli, consensus, evaluation, localization,
                   losses, numkit, pipeline, synthdata)
-from wtal.basemodel import ModelConfig, StreamModel
-from wtal.consensus import RefinementConfig
-from wtal.localization import LocalizationConfig
-from wtal.losses import LossConfig
+from wtal.basemodel import StreamModel
+from wtal.config import (LocalizationConfig, LossConfig, ModelConfig,
+                         RefinementConfig)
 
 from test_basemodel import full_loss_and_grads
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wtal import basemodel, losses, numkit
-from wtal.basemodel import ModelConfig, StreamModel
+from wtal.basemodel import StreamModel
+from wtal.config import LossConfig, ModelConfig
 from wtal.numkit import ShapeError
 
 
@@ -138,7 +139,7 @@ def full_loss_and_grads(model, features, label, gt=None):
     objective of iteration 1."""
     fp = basemodel.forward(model, features)
     *_, total, d_att, d_pred = losses.video_objective(
-        fp, label, gt, losses.LossConfig(), 0 if gt is None else 1)
+        fp, label, gt, LossConfig(), 0 if gt is None else 1)
     return total, basemodel.backward(model, fp, d_attention=d_att,
                                      d_prediction=d_pred)
 

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wtal
-from wtal import cli, synthdata
-from wtal.consensus import fuse_attention
+from wtal import basemodel, cli, evaluation, pipeline, synthdata
+from wtal.config import LocalizationConfig, RefinementConfig
+from wtal.consensus import STREAMS, fuse_attention
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +180,14 @@ class TestGenData:
         assert cli.main(["gen-data", "--videos", "4"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert cli.main(["gen-data", "--seed", "-3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: argument --seed: expected an integer >= 0, "
+            "got -3\n")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts(self, workspace):
@@ -237,6 +246,16 @@ class TestTrain:
         ckpts = sorted(p.name for p in out.glob("*.ckpt"))
         assert ckpts == ["iter0_flow.ckpt", "iter0_rgb.ckpt"]
 
+    def test_negative_seed_is_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert cli.main(["train", "--config", str(workspace["config"]),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: argument --seed: expected an integer >= 0, "
+            "got -1\n")
+        assert not out.exists()
+
     def test_missing_dataset_is_data_error(self, tmp_path, capsys):
         assert cli.main(["train", "--dataset", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "r"), "--seed", "0"]) == 2
@@ -274,6 +293,7 @@ class TestTrain:
          ["'localization'", "'upsample_factor'"]),
         ({"loss": {"s": 2.5}}, ["'loss'", "'s'"]),
         ({"seed": "x"}, ["'seed'"]),
+        ({"seed": -4}, ["field 'seed' is -4, expected an integer >= 0"]),
         ({"evaluation": {"thresold": [0.5]}}, ["'evaluation'", "'thresold'"]),
         ({"evaluation": {"thresholds": 0.5}},
          ["'evaluation'", "'thresholds'"]),
@@ -294,7 +314,8 @@ class TestTrain:
         ({"localization": {"top_k": 0}}, ["'localization'", "top_k"]),
         ({"refinement": {"beta": 1.5}}, ["'refinement'", "beta"]),
     ], ids=["model-not-object", "beta-string", "iterations-float",
-            "upsample-float", "s-float", "seed-string", "evaluation-typo",
+            "upsample-float", "s-float", "seed-string", "seed-negative",
+            "evaluation-typo",
             "thresholds-scalar", "threshold-above-1", "threshold-string",
             "threshold-repeated", "generator-section", "top-level-list",
             "embed-dim-0", "epochs-0", "smoothing-negative",
@@ -531,6 +552,12 @@ class TestLocalizeEval:
          "video train_0001: field 'label'"),
         (lambda videos: videos[1].update(label="abc"),
          "video train_0001: field 'label'"),
+        (lambda videos: videos[1].update(label=[-1.0, 2.0, 0.0]),
+         "video train_0001: field 'label' is [-1.0, 2.0, 0.0], expected "
+         "nonnegative numbers that sum to 1"),
+        (lambda videos: videos[1].update(label=[0.5, 0.25, 0]),
+         "video train_0001: field 'label' is [0.5, 0.25, 0], expected "
+         "nonnegative numbers that sum to 1"),
         (lambda videos: videos[1].update(id=[1]), "field 'id' is [1]"),
         (lambda videos: videos[1].update(rgb_file=5),
          "video train_0001: field 'rgb_file' is 5"),
@@ -544,7 +571,8 @@ class TestLocalizeEval:
          "video train_0001: field 'gt_segments' holds invalid segment"),
     ], ids=["no-id", "no-T", "no-label", "no-rgb_file", "no-flow_file",
             "repeated-id", "not-object", "T-string", "T-zero",
-            "label-short", "label-string", "id-list", "rgb_file-number",
+            "label-short", "label-string", "label-negative", "label-sum",
+            "id-list", "rgb_file-number",
             "split-list", "gt-number", "gt-pair", "gt-category"])
     def test_bad_manifest_entry(self, workspace, tmp_path, capsys, edit,
                                 expected):
@@ -820,6 +848,65 @@ class TestReadsOnlyWhatItUses:
         assert outputs[0][0] == {
             name: data for name, data in tree_bytes(workspace["run"]).items()
             if name != "resolved_config.json"}
+
+
+def python_with_src(*args):
+    """subprocess.run of this interpreter with args, the package's source
+    directory on PYTHONPATH; output is captured as text."""
+    src = str(pathlib.Path(wtal.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+# `python -m wtal.cli ARGS`, which then reports on stderr whether numpy
+# was imported
+RUN_CLI = """import runpy, sys
+try:
+    runpy.run_module("wtal.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(f"numpy imported: {'numpy' in sys.modules}", file=sys.stderr)
+"""
+
+
+class TestEvalLoadsNoNumpy:
+    def test_import_cli(self):
+        run = python_with_src(
+            "-c", "import sys, wtal.cli; print('numpy' in sys.modules)")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+    def test_usage_error(self, tmp_path):
+        run = python_with_src("-c", RUN_CLI, "eval", "--dataset",
+                              str(tmp_path), "--out", str(tmp_path / "r"))
+        assert run.returncode == 1
+        assert run.stderr == ("usage error: the following arguments are "
+                              "required: --proposals\n"
+                              "numpy imported: False\n")
+
+    def test_report_matches_the_numeric_path(self, workspace, proposals,
+                                             tmp_path):
+        out = tmp_path / "report"
+        run = python_with_src("-c", RUN_CLI, "eval", "--proposals",
+                              str(proposals), "--dataset",
+                              str(workspace["data"]), "--out", str(out))
+        assert run.returncode == 0
+        assert run.stderr == "numpy imported: False\n"
+        # the same report from in-memory proposals of the checkpoints and
+        # the GT of the loaded test split, with no proposals file between
+        models = {s: basemodel.load_checkpoint(
+            workspace["run"] / f"iter1_{s}.ckpt")[0] for s in STREAMS}
+        dataset = synthdata.load(workspace["data"], split="test")
+        report = pipeline.evaluate_models(
+            models, dataset.test, LocalizationConfig(),
+            RefinementConfig().beta, evaluation.EvaluationConfig().thresholds,
+            dataset.num_classes)
+        numeric = tmp_path / "numeric"
+        evaluation.save_report(f"{numeric}.json", f"{numeric}.txt", report)
+        assert run.stdout == report.to_text()
+        for ext in ("json", "txt"):
+            assert (tmp_path / f"report.{ext}").read_bytes() == \
+                (tmp_path / f"numeric.{ext}").read_bytes()
 
 
 class TestRejectedInputs:

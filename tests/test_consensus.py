@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtal import consensus, synthdata
-from wtal.basemodel import ModelConfig
-from wtal.consensus import (RefinementConfig, compute_pseudo_gt,
-                            fuse_attention, load_pseudo_gt, make_pseudo_gt,
-                            max_pool_smooth, run_refinement, save_pseudo_gt)
-from wtal.losses import LossConfig
+from wtal.config import LossConfig, ModelConfig, RefinementConfig
+from wtal.consensus import (compute_pseudo_gt, fuse_attention,
+                            load_pseudo_gt, make_pseudo_gt, max_pool_smooth,
+                            run_refinement, save_pseudo_gt)
 
 
 def tiny_dataset(seed=0):

@@ -9,7 +9,7 @@ from wtal import evaluation
 from wtal.evaluation import (GroundTruthSegment, average_precision,
                              evaluate, gt_from_videos, iou, map_at,
                              precision_recall_f)
-from wtal.localization import ActionProposal
+from wtal.formats import ActionProposal
 
 
 def prop(video="v", start=0.0, end=1.0, category=1, score=0.5):

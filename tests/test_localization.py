@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from wtal import localization
 from wtal.basemodel import ForwardPass
-from wtal.consensus import RefinementConfig
-from wtal.localization import (ActionProposal, LocalizationConfig,
-                               extract_segments, localize, oic_score,
-                               proposals_from_json, proposals_to_json,
+from wtal.config import LocalizationConfig, RefinementConfig
+from wtal.formats import (ActionProposal, proposals_from_json,
+                          proposals_to_json)
+from wtal.localization import (extract_segments, localize, oic_score,
                                select_categories, upsample_linear)
 
 

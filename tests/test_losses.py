@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtal import numkit
-from wtal.losses import (LossConfig, attention_norm_loss,
-                         classification_loss, classification_loss_grad,
-                         pseudo_gt_loss, total_loss)
+from wtal.config import LossConfig
+from wtal.losses import (attention_norm_loss, classification_loss,
+                         classification_loss_grad, pseudo_gt_loss,
+                         total_loss)
 
 
 class TestClassificationLoss:

@@ -16,11 +16,10 @@ import pytest
 
 import wtal
 from wtal import basemodel, cli, consensus, pipeline, synthdata
-from wtal.basemodel import ModelConfig
-from wtal.consensus import RefinementConfig
-from wtal.localization import ActionProposal, LocalizationConfig
-from wtal.losses import LossConfig
-from wtal.synthdata import DataError, VideoSample
+from wtal.config import (LocalizationConfig, LossConfig, ModelConfig,
+                         RefinementConfig)
+from wtal.formats import ActionProposal, DataError
+from wtal.synthdata import VideoSample
 
 
 def reference_csv(path, attention, factor, pseudo=None):

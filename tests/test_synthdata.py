@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from wtal import synthdata
-from wtal.synthdata import DataError, GeneratorConfig
+from wtal import formats, synthdata
+from wtal.formats import DataError
+from wtal.synthdata import GeneratorConfig
 
 
 def small_config(**overrides):
@@ -289,12 +290,12 @@ class TestRepeatedKeys:
         path = tmp_path / "doc.json"
         path.write_text(text)
         with pytest.raises(DataError) as info:
-            synthdata.read_json(path)
+            formats.read_json(path)
         assert str(info.value) == f"{path}: repeated key {key!r}"
 
     def test_distinct_keys_read_in_order(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text('{"b": 1, "a": {"a": 2, "b": 3}}')
-        doc = synthdata.read_json(path)
+        doc = formats.read_json(path)
         assert doc == {"b": 1, "a": {"a": 2, "b": 3}}
         assert list(doc) == ["b", "a"]
