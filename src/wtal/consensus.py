@@ -13,11 +13,19 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from . import basemodel, losses, numkit
+from . import basemodel, losses, numkit, parallel
 from .formats import DataError, NumericError
 from .numkit import fuse_attention
 
 STREAMS = ("rgb", "flow")
+
+# An iteration trains the flow stream in a forked worker from this many
+# snippet-epochs (epochs x the train videos' snippets) per stream: where
+# the work moved to the worker costs twice the fork. Measured in `wtal
+# train` on 2 vCPUs: one stream takes about 9.1 us per snippet-epoch, and
+# the fork, with the wait for the worker to get a CPU of its own, up to
+# 150 ms.
+FORK_MIN_WORK = 33000
 
 
 def save_pseudo_gt(path, values):
@@ -124,20 +132,28 @@ class RefinementResult:
     pseudo_gt: list = field(default_factory=list)  # index n -> GT used at n
 
 
-def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
-                         refine_cfg, rng, log_rows):
-    """Train one stream for one refinement iteration with a fresh Adam
-    state (one whole video per optimizer step, seeded shuffle per epoch).
+@dataclass
+class StreamIteration:
+    """What one stream's training in one iteration hands back."""
+    final: np.ndarray      # flat parameters after the last epoch
+    best: np.ndarray       # flat parameters of the lowest-loss epoch
+    best_info: dict        # {"epoch", "mean_loss"} of that epoch
+    log_rows: list         # one LogRow per epoch
+    rng_state: dict        # the shuffle rng's bit_generator.state
 
-    Returns (best_params, best_info) by lowest epoch-mean total loss;
-    best_params is a copy of the model's flat parameter vector.
-    """
+
+def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
+                         refine_cfg, rng):
+    """Train one stream for one refinement iteration with a fresh Adam
+    state (one whole video per optimizer step, seeded shuffle per epoch);
+    the best epoch has the lowest epoch-mean total loss."""
     state = numkit.adam_init(model.flat, refine_cfg.learning_rate)
     grad = basemodel.StreamModel(config=model.config,
                                  modality=model.modality)
     best_loss = np.inf
     best_params = model.flat.copy()
     best_epoch = -1
+    log_rows = []
     n = len(videos)
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -171,15 +187,26 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
             best_loss = total_mean
             best_params = model.flat.copy()
             best_epoch = epoch
-    return best_params, {"epoch": best_epoch, "mean_loss": best_loss}
+    return StreamIteration(final=model.flat.copy(), best=best_params,
+                           best_info={"epoch": best_epoch,
+                                      "mean_loss": best_loss},
+                           log_rows=log_rows,
+                           rng_state=rng.bit_generator.state)
 
 
-def run_refinement(train_videos, model_cfg, loss_cfg, refine_cfg, seed):
+def run_refinement(train_videos, model_cfg, loss_cfg, refine_cfg, seed,
+                   workers=None):
     """Full iterative refinement over both streams.
 
     Model parameters warm-start across iterations; the Adam state resets
     at every iteration boundary. Pseudo GT for iteration n+1 comes from
     the lowest-loss checkpoints of iteration n.
+
+    Within an iteration the streams train in up to ``workers`` processes
+    (``parallel.fork_map``), one per stream at most; nothing returned
+    depends on their number. By default that is the CPUs in this
+    process's affinity mask for an iteration of at least FORK_MIN_WORK
+    snippet-epochs per stream, else one.
     """
     if not train_videos:
         raise ValueError("empty training set")
@@ -194,20 +221,29 @@ def run_refinement(train_videos, model_cfg, loss_cfg, refine_cfg, seed):
                               checkpoint_meta=[])
     result.pseudo_gt.append(None)  # iteration 0 has no frame supervision
     pseudo = None
+    snippets = sum(video.num_snippets for video in train_videos)
     for iteration in range(refine_cfg.iterations + 1):
         epochs = (refine_cfg.epochs_initial if iteration == 0
                   else refine_cfg.epochs_refine)
+        processes = workers or (parallel.cpus()
+                                if epochs * snippets >= FORK_MIN_WORK else 1)
+        trained = parallel.fork_map(
+            lambda s: _train_one_iteration(
+                models[s], train_videos, pseudo, iteration, epochs,
+                loss_cfg, refine_cfg, shuffle_rngs[s]),
+            STREAMS, processes,
+            lambda first: f"the training worker for stream {STREAMS[first]}")
         snapshot = {}
         meta = {}
-        for stream in STREAMS:
-            best_params, info = _train_one_iteration(
-                models[stream], train_videos, pseudo, iteration, epochs,
-                loss_cfg, refine_cfg, shuffle_rngs[stream],
-                result.log_rows)
+        for stream, out in zip(STREAMS, trained):
+            # the worker's stream warm-starts from what it handed back
+            models[stream].flat[...] = out.final
+            shuffle_rngs[stream].bit_generator.state = out.rng_state
+            result.log_rows.extend(out.log_rows)
             snapshot[stream] = basemodel.StreamModel(config=model_cfg,
                                                      modality=stream)
-            snapshot[stream].flat[...] = best_params
-            meta[stream] = info
+            snapshot[stream].flat[...] = out.best
+            meta[stream] = out.best_info
         result.checkpoints.append(snapshot)
         result.checkpoint_meta.append(meta)
         if iteration < refine_cfg.iterations:

@@ -31,6 +31,11 @@ class NumericError(RuntimeError):
         self.epoch = epoch
         self.video_id = video_id
 
+    def __reduce__(self):
+        # a worker process sends it to the parent pickled
+        return type(self), (self.stream, self.iteration, self.epoch,
+                            self.video_id)
+
 
 def finite_number(value):
     """Whether a parsed JSON value is a number with a finite float value;

@@ -3,14 +3,11 @@ plot-data emission (per-video attention CSV + SVG)."""
 
 import csv
 import os
-import pickle
-import sys
 
 import numpy as np
 
-from . import basemodel, evaluation, localization
+from . import basemodel, evaluation, localization, parallel
 from .consensus import STREAMS
-from .formats import DataError
 from .numkit import fuse_attention
 
 
@@ -138,76 +135,17 @@ def write_plot_bundle(out_dir, models, videos, loc_cfg, beta,
                       pseudo_by_video=None, workers=None):
     """Write each video's attention CSV and SVG into ``out_dir``.
 
-    The videos are dealt over n = min(workers, len(videos)) processes,
-    ``workers`` defaulting to the CPUs in this process's affinity mask:
-    this process writes videos 0, n, 2n, ... and forked child w writes
-    videos w, w + n, ...; no file depends on n. Every child is reaped
-    before this returns or raises. When videos fail, the failure of the
-    lowest-indexed one is raised, the one a serial loop would meet.
+    The videos are dealt over ``workers`` processes, by default the CPUs
+    in this process's affinity mask, by ``parallel.fork_map``; no file
+    and no error depends on their number.
     """
     os.makedirs(out_dir, exist_ok=True)
     pseudo_by_video = pseudo_by_video or {}
-    n = max(1, min(workers or len(os.sched_getaffinity(0)), len(videos)))
 
-    def share(first):
-        """(index, exception) of the first failing video of the share
-        that starts at ``first``, or None."""
-        for i in range(first, len(videos), n):
-            try:
-                _plot_video(out_dir, models, videos[i], loc_cfg, beta,
-                            pseudo_by_video.get(videos[i].id))
-            except Exception as exc:
-                return i, exc
-        return None
+    def plot(video):
+        _plot_video(out_dir, models, video, loc_cfg, beta,
+                    pseudo_by_video.get(video.id))
 
-    # a child must not write out what the parent had buffered
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children = []
-    failures = []
-    try:
-        for first in range(1, n):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_child(share, first, read_fd, write_fd)
-            os.close(write_fd)
-            children.append((first, pid, read_fd))
-        failures.append(share(0))
-    finally:
-        for first, pid, read_fd in children:
-            failures.append(_reap(first, pid, read_fd, out_dir))
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-
-
-def _run_child(share, first, read_fd, write_fd):
-    """Body of a forked plot worker: write the share that starts at
-    ``first``, send its report (``share``'s result) to the parent, and
-    end the process without returning to the caller or running exit
-    handlers."""
-    status = 1
-    try:
-        os.close(read_fd)
-        report = pickle.dumps(share(first))
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(report)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _reap(first, pid, read_fd, out_dir):
-    """Wait for the plot worker ``pid``: its report, which is None or
-    its first (index, exception), or a DataError for a worker that ended
-    without one."""
-    with os.fdopen(read_fd, "rb") as fh:
-        report = fh.read()
-    _, status = os.waitpid(pid, 0)
-    if report:
-        return pickle.loads(report)
-    code = os.waitstatus_to_exitcode(status)
-    how = f"signal {-code}" if code < 0 else f"exit status {code}"
-    return first, DataError(f"{out_dir}: the plot worker for video index "
-                            f"{first} ended with {how} before reporting")
+    parallel.fork_map(
+        plot, videos, workers or parallel.cpus(),
+        lambda first: f"{out_dir}: the plot worker for video index {first}")
