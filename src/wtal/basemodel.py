@@ -13,7 +13,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import numkit
-from .config import ModelConfig
+from .config import ModelConfig, check_fields
 from .formats import DataError, unique_keys
 from .numkit import ShapeError
 
@@ -249,10 +249,16 @@ def load_checkpoint(path):
         if not isinstance(header.get(key), kind):
             raise DataError(f"{path}: field {key!r} is missing or not "
                             f"{what}")
+    check_fields(f"{path}: field 'config'", header["config"], ModelConfig,
+                 whole=True)
     try:
         config = ModelConfig(**header["config"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: field 'config': {exc}") from exc
+    # each layer holds 2+ values: bound the count before the layout loops
+    if 16 * config.conv_layers > len(data) - offset:
+        raise DataError(f"{path}: field 'config': field 'conv_layers' is "
+                        f"{config.conv_layers}, more than the file holds")
     expected = _header_params(config)
     if header["params"] != expected:
         listed = {e["name"]: e.get("shape") for e in header["params"]

@@ -1,25 +1,20 @@
-"""Command-line entry point: gen-data, train, localize, eval, plot.
+"""Command-line entry point: the argument parser, the commands gen-data,
+train, localize, eval and plot, and main; ``config`` reads their config.
 
 Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numeric
 failure during training.
 """
 
 import argparse
-import dataclasses
 import functools
-import json
 import os
 import sys
-import types
-import typing
 
 # numpy-free imports only: the numeric modules are imported by the
 # commands that compute with them, so eval loads no numpy
 from . import evaluation, formats
-from .config import (LocalizationConfig, LossConfig, ModelConfig,
-                     RefinementConfig)
-from .evaluation import EvaluationConfig
-from .formats import DataError, NumericError, finite_number
+from .config import load_run_config, resolved_config, write_resolved_config
+from .formats import DataError, NumericError
 
 
 class UsageError(Exception):
@@ -29,124 +24,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Resolved run configuration; every field has a default."""
-
-    seed: int = 0
-    dataset: str = "data"
-    output_dir: str = "runs/default"
-    model: dict = dataclasses.field(default_factory=dict)
-    loss: dict = dataclasses.field(default_factory=dict)
-    refinement: dict = dataclasses.field(default_factory=dict)
-    localization: dict = dataclasses.field(default_factory=dict)
-    evaluation: dict = dataclasses.field(default_factory=dict)
-
-
-SECTIONS = {"model": ModelConfig, "loss": LossConfig,
-            "refinement": RefinementConfig,
-            "localization": LocalizationConfig,
-            "evaluation": EvaluationConfig}
-
-_JSON_NAMES = {int: "integer", float: "number", str: "string",
-               dict: "JSON object", type(None): "null"}
-
-
-def _settable(cls):
-    """{field name: default} of the fields a config may set; a field
-    without a default (the model's shape) comes from the dataset."""
-    missing = dataclasses.MISSING
-    return {f.name: f.default_factory() if f.default is missing
-            else f.default for f in dataclasses.fields(cls)
-            if (f.default, f.default_factory) != (missing, missing)}
-
-
-def _fits(value, hint):
-    """Whether a parsed JSON value fits a field's type hint. A bool is
-    never a number, an int fits a float, a list fits a tuple when each
-    element fits, and X | None also takes null."""
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, list) and all(
-            _fits(v, typing.get_args(hint)[0]) for v in value)
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if hint is float:
-        return finite_number(value)
-    return isinstance(value, hint) and not isinstance(value, bool)
-
-
-def _describe(hint):
-    if typing.get_origin(hint) is tuple:
-        return f"list of {_describe(typing.get_args(hint)[0])}s"
-    if typing.get_origin(hint) is types.UnionType:
-        return " or ".join(map(_describe, typing.get_args(hint)))
-    return _JSON_NAMES[hint]
-
-
-def _check_fields(where, raw, cls):
-    """Raise a one-line DataError unless raw is a JSON object that sets
-    only settable fields of the config class cls, each to a value of its
-    type."""
-    if not isinstance(raw, dict):
-        raise DataError(f"{where}: expected a JSON object, got "
-                        f"{json.dumps(raw)}")
-    known = _settable(cls)
-    hints = typing.get_type_hints(cls)
-    for key, value in raw.items():
-        if key not in known:
-            raise DataError(f"{where}: unknown field {key!r} "
-                            f"(expected one of {sorted(known)})")
-        if not _fits(value, hints[key]):
-            raise DataError(f"{where}: field {key!r} expects "
-                            f"{_describe(hints[key])}, got "
-                            f"{json.dumps(value)}")
-
-
-def load_run_config(path=None, overrides=None):
-    cfg = RunConfig()
-    if path is not None:
-        raw = formats.read_json(path)
-        _check_fields(path, raw, RunConfig)
-        if "seed" in raw:
-            formats.integer_field(path, "seed", raw["seed"], least=0)
-        for name, cls in SECTIONS.items():
-            _check_fields(f"{path}: config section {name!r}",
-                          raw.get(name, {}), cls)
-        cfg = RunConfig(**raw)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
-
-
-def resolved_config(cfg, dataset, path):
-    """{section name: config object} for every section in SECTIONS; a
-    value the section's constructor rejects is a DataError naming the
-    config file path."""
-    sections = {}
-    for name, cls in SECTIONS.items():
-        values = dict(getattr(cfg, name))
-        if name == "model":
-            values.update(feature_dim=dataset.feature_dim,
-                          num_classes=dataset.num_classes)
-        try:
-            sections[name] = cls(**values)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: config section {name!r}: "
-                            f"{exc}") from exc
-    return sections
-
-
-def write_resolved_config(cfg, path):
-    payload = dataclasses.asdict(cfg)
-    # fill in effective section defaults so the emitted file is complete
-    for name, cls in SECTIONS.items():
-        payload[name] = {**_settable(cls), **payload[name]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +52,12 @@ def run_refinement(train_videos, model_cfg, loss_cfg, refine_cfg, seed):
 @_computes
 def cmd_gen_data(args):
     from . import synthdata
-    fields = {
-        "num_train": args.videos,
-        "num_test": args.test_videos,
-        "num_classes": args.classes,
-        "feature_dim": args.dim,
-        "seed": args.seed,
-    }
-    if args.confounder_rate is not None:
-        fields["rgb_false_positive_rate"] = args.confounder_rate
-    if args.flow_miss_rate is not None:
-        fields["flow_miss_rate"] = args.flow_miss_rate
-    config = synthdata.GeneratorConfig(**fields)
-    dataset = synthdata.generate(config)
+    rates = {"rgb_false_positive_rate": args.confounder_rate,
+             "flow_miss_rate": args.flow_miss_rate}
+    dataset = synthdata.generate(synthdata.GeneratorConfig(
+        num_train=args.videos, num_test=args.test_videos,
+        num_classes=args.classes, feature_dim=args.dim, seed=args.seed,
+        **{key: rate for key, rate in rates.items() if rate is not None}))
     synthdata.save(dataset, args.out)
     n_gt = sum(len(v.gt_segments) for v in dataset.all_videos())
     print(f"wrote {len(dataset.train)} train / {len(dataset.test)} test "
@@ -214,12 +84,11 @@ def cmd_train(args):
                             sections["loss"], refine_cfg, cfg.seed)
     for iteration, snapshot in enumerate(result.checkpoints):
         for stream, model in snapshot.items():
-            meta = dict(result.checkpoint_meta[iteration][stream])
-            meta.update({"iteration": iteration, "seed": cfg.seed})
-            basemodel.save_checkpoint(
-                os.path.join(cfg.output_dir,
-                             f"iter{iteration}_{stream}.ckpt"),
-                model, meta=meta)
+            meta = {**result.checkpoint_meta[iteration][stream],
+                    "iteration": iteration, "seed": cfg.seed}
+            name = f"iter{iteration}_{stream}.ckpt"
+            basemodel.save_checkpoint(os.path.join(cfg.output_dir, name),
+                                      model, meta=meta)
     consensus.save_training_log(
         os.path.join(cfg.output_dir, "training_log.csv"), result.log_rows)
     if args.dump_pseudo_gt:
@@ -264,10 +133,9 @@ def _load_inference_inputs(args):
 def cmd_localize(args):
     from . import localization, pipeline
     sections, dataset, models, videos = _load_inference_inputs(args)
-    proposals = pipeline.localize_dataset(models, videos,
-                                          sections["localization"],
-                                          sections["refinement"].beta,
-                                          mode=args.mode)
+    proposals = pipeline.localize_dataset(
+        models, videos, sections["localization"],
+        sections["refinement"].beta, mode=args.mode)
     localization.save_proposals(args.out, proposals, dataset.class_names)
     print(f"wrote {len(proposals)} proposals -> {args.out}")
     return 0
@@ -298,8 +166,7 @@ def cmd_eval(args):
     report = evaluation.evaluate(proposals, gts,
                                  sections["evaluation"].thresholds,
                                  manifest.num_classes)
-    base = args.out
-    evaluation.save_report(base + ".json", base + ".txt", report)
+    evaluation.save_report(args.out + ".json", args.out + ".txt", report)
     sys.stdout.write(report.to_text())
     return 0
 
@@ -367,12 +234,17 @@ def build_parser():
     p.add_argument("--dump-pseudo-gt", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("localize", help="emit scored action proposals")
-    p.add_argument("--config", default=None)
-    p.add_argument("--checkpoint-rgb", required=True)
-    p.add_argument("--checkpoint-flow", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", choices=("train", "test"), default="test")
+    def inference_parser(name, text):
+        """A parser for localize or plot, with the options they share."""
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", default=None)
+        p.add_argument("--checkpoint-rgb", required=True)
+        p.add_argument("--checkpoint-flow", required=True)
+        p.add_argument("--dataset", required=True)
+        p.add_argument("--split", choices=("train", "test"), default="test")
+        return p
+
+    p = inference_parser("localize", "emit scored action proposals")
     p.add_argument("--mode", choices=("fused", "rgb", "flow"),
                    default="fused")
     p.add_argument("--out", required=True)
@@ -387,12 +259,7 @@ def build_parser():
                    help="output basename (.json and .txt are appended)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("plot", help="emit attention CSV + SVG per video")
-    p.add_argument("--config", default=None)
-    p.add_argument("--checkpoint-rgb", required=True)
-    p.add_argument("--checkpoint-flow", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", choices=("train", "test"), default="test")
+    p = inference_parser("plot", "emit attention CSV + SVG per video")
     p.add_argument("--pseudo-gt-dir", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot)

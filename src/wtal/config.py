@@ -1,10 +1,18 @@
-"""The settable sections of a run config: model shape, loss weights,
-refinement schedule and localization. Each checks its values on
-construction. The module imports no numpy, so a command that only reads
-a config (``wtal eval``) never loads it.
+"""The run config of ``--config``: its five sections (model shape, loss
+weights, refinement schedule, localization, evaluation), each checking
+its values on construction; the JSON type rule, which also checks a
+checkpoint's model config; and reading, resolving and writing the run
+config. The module imports no numpy, so ``wtal eval`` never loads it.
 """
 
-from dataclasses import asdict, dataclass
+import dataclasses
+import json
+import types
+import typing
+from dataclasses import dataclass
+
+from .formats import (DataError, finite_number, integer_field, read_json,
+                      write_json)
 
 
 @dataclass
@@ -18,9 +26,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.embed_dim is None:
             self.embed_dim = self.feature_dim
-        for name, value in asdict(self).items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer")
         if self.kernel_size % 2 == 0 or self.kernel_size < 1:
             raise ValueError("kernel_size must be odd")
         if min(self.feature_dim, self.conv_layers, self.embed_dim) < 1:
@@ -84,3 +89,138 @@ class LocalizationConfig:
             raise ValueError("attention_threshold must lie in (0, 1)")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
+
+
+@dataclass
+class EvaluationConfig:
+    thresholds: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                     0.9)
+
+    def __post_init__(self):
+        self.thresholds = tuple(self.thresholds)
+        if not self.thresholds:
+            raise ValueError("thresholds must not be empty")
+        if not all(0.0 < t <= 1.0 for t in self.thresholds):
+            raise ValueError("thresholds must lie in (0, 1]")
+        # mAP is keyed by threshold but averaged over the list's length
+        if len(set(self.thresholds)) != len(self.thresholds):
+            raise ValueError("thresholds must not repeat")
+
+
+@dataclass
+class RunConfig:
+    """Resolved run configuration; every field has a default."""
+
+    seed: int = 0
+    dataset: str = "data"
+    output_dir: str = "runs/default"
+    model: dict = dataclasses.field(default_factory=dict)
+    loss: dict = dataclasses.field(default_factory=dict)
+    refinement: dict = dataclasses.field(default_factory=dict)
+    localization: dict = dataclasses.field(default_factory=dict)
+    evaluation: dict = dataclasses.field(default_factory=dict)
+
+
+SECTIONS = {"model": ModelConfig, "loss": LossConfig,
+            "refinement": RefinementConfig,
+            "localization": LocalizationConfig,
+            "evaluation": EvaluationConfig}
+
+_JSON_NAMES = {int: "integer", float: "number", str: "string",
+               dict: "JSON object", type(None): "null"}
+
+
+def _settable(cls):
+    """{field name: default} of the fields a config may set; a field
+    without a default (the model's shape) comes from the dataset."""
+    missing = dataclasses.MISSING
+    return {f.name: f.default_factory() if f.default is missing
+            else f.default for f in dataclasses.fields(cls)
+            if (f.default, f.default_factory) != (missing, missing)}
+
+
+def _fits(value, hint):
+    """Whether a parsed JSON value fits a field's type hint. A bool is
+    never a number, an int fits a float, a list fits a tuple when each
+    element fits, and X | None also takes null."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(
+            _fits(v, typing.get_args(hint)[0]) for v in value)
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if hint is float:
+        return finite_number(value)
+    return isinstance(value, hint) and not isinstance(value, bool)
+
+
+def _describe(hint):
+    if typing.get_origin(hint) is tuple:
+        return f"list of {_describe(typing.get_args(hint)[0])}s"
+    if typing.get_origin(hint) is types.UnionType:
+        return " or ".join(map(_describe, typing.get_args(hint)))
+    return _JSON_NAMES[hint]
+
+
+def check_fields(where, raw, cls, whole=False):
+    """Raise a one-line DataError unless raw is a JSON object that sets
+    only settable fields of the config class cls, each to a value of its
+    type; a whole config (a checkpoint's) sets every other field too."""
+    if not isinstance(raw, dict):
+        raise DataError(f"{where}: expected a JSON object, got "
+                        f"{json.dumps(raw)}")
+    hints = typing.get_type_hints(cls)
+    settable = _settable(cls)
+    known = sorted(hints if whole else settable)
+    for key, value in raw.items():
+        if key not in known:
+            raise DataError(f"{where}: unknown field {key!r} "
+                            f"(expected one of {known})")
+        if not _fits(value, hints[key]):
+            raise DataError(f"{where}: field {key!r} expects "
+                            f"{_describe(hints[key])}, got "
+                            f"{json.dumps(value)}")
+    for key in known:
+        if key not in raw and key not in settable:
+            raise DataError(f"{where}: missing field {key!r}")
+
+
+def load_run_config(path=None, overrides=None):
+    cfg = RunConfig()
+    if path is not None:
+        raw = read_json(path)
+        check_fields(path, raw, RunConfig)
+        integer_field(path, "seed", raw.get("seed", 0), least=0)
+        for name, cls in SECTIONS.items():
+            check_fields(f"{path}: config section {name!r}",
+                         raw.get(name, {}), cls)
+        cfg = RunConfig(**raw)
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            setattr(cfg, key, value)
+    return cfg
+
+
+def resolved_config(cfg, dataset, path):
+    """{section name: config object} for every section in SECTIONS; a
+    value the section's constructor rejects is a DataError naming the
+    config file path."""
+    sections = {}
+    for name, cls in SECTIONS.items():
+        values = dict(getattr(cfg, name))
+        if name == "model":
+            values.update(feature_dim=dataset.feature_dim,
+                          num_classes=dataset.num_classes)
+        try:
+            sections[name] = cls(**values)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: config section {name!r}: "
+                            f"{exc}") from exc
+    return sections
+
+
+def write_resolved_config(cfg, path):
+    payload = dataclasses.asdict(cfg)
+    # fill in effective section defaults so the emitted file is complete
+    for name, cls in SECTIONS.items():
+        payload[name] = {**_settable(cls), **payload[name]}
+    write_json(path, payload)

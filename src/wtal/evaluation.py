@@ -6,25 +6,10 @@ Ground-truth segments arrive as 1-based inclusive snippet index triples
 interval [start - 1, end], the same unit proposals use.
 """
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-
-@dataclass
-class EvaluationConfig:
-    thresholds: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
-                                     0.9)
-
-    def __post_init__(self):
-        self.thresholds = tuple(self.thresholds)
-        if not self.thresholds:
-            raise ValueError("thresholds must not be empty")
-        if not all(0.0 < t <= 1.0 for t in self.thresholds):
-            raise ValueError("thresholds must lie in (0, 1]")
-        # mAP is keyed by threshold but averaged over the list's length
-        if len(set(self.thresholds)) != len(self.thresholds):
-            raise ValueError("thresholds must not repeat")
+from .formats import write_json
 
 
 @dataclass
@@ -245,8 +230,6 @@ def evaluate(proposals, gts, thresholds, num_classes):
 
 
 def save_report(path_json, path_text, report):
-    with open(path_json, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path_json, report.to_json())
     with open(path_text, "w", encoding="utf-8") as fh:
         fh.write(report.to_text())

@@ -3,10 +3,11 @@
 A dataset directory holds manifest.json (classes, feature width, and per
 video its id, split, T, label, feature file names and ground truth) next
 to the raw feature files, which this module never opens. A proposals
-file holds {"results": {video_id: [{label, score, segment}]}}. Every
-reader checks what it reads and raises a one-line DataError naming the
-file and the field. The module imports no numpy, so ``wtal eval``, which
-reads these two files and a config, never loads it.
+file holds {"results": {video_id: [{label, score, segment}]}}. Both are
+read and written here, and every JSON file is written by write_json.
+Every reader checks what it reads and raises a one-line DataError naming
+the file and the field. The module imports no numpy, so ``wtal eval``,
+which reads these two files and a config, never loads it.
 """
 
 import json
@@ -76,6 +77,13 @@ def read_json(path):
                         f"{exc.colno}: {exc.msg}") from exc
     except (DataError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def write_json(path, payload):
+    """Write payload to path: UTF-8 JSON, indent 2, sorted keys, newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +212,30 @@ def read_manifest(directory):
                    train=splits["train"], test=splits["test"])
 
 
+def feature_files(video_id):
+    """The names of a video's RGB and flow feature files."""
+    return f"{video_id}_rgb.bin", f"{video_id}_flow.bin"
+
+
+def write_manifest(directory, dataset):
+    """Write manifest.json of dataset, whose videos have an id,
+    num_snippets, label and gt_segments (or None), into directory."""
+    videos = []
+    for split in ("train", "test"):
+        for v in getattr(dataset, split):
+            rgb_file, flow_file = feature_files(v.id)
+            entry = {"id": v.id, "split": split, "T": int(v.num_snippets),
+                     "label": [float(x) for x in v.label],
+                     "rgb_file": rgb_file, "flow_file": flow_file}
+            if v.gt_segments is not None:
+                entry["gt_segments"] = [[int(s), int(e), int(c)]
+                                        for s, e, c in v.gt_segments]
+            videos.append(entry)
+    write_json(os.path.join(directory, "manifest.json"),
+               {"C": dataset.num_classes, "D": dataset.feature_dim,
+                "class_names": dataset.class_names, "videos": videos})
+
+
 # ---------------------------------------------------------------------------
 # proposals JSON
 
@@ -271,10 +303,7 @@ def proposals_from_json(payload, class_names):
 
 
 def save_proposals(path, proposals, class_names):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(proposals_to_json(proposals, class_names), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, proposals_to_json(proposals, class_names))
 
 
 def load_proposals(path, class_names):

@@ -15,14 +15,14 @@ Ground-truth segments use 1-based inclusive snippet indices; categories
 are 1-based.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import DataError, Dataset, read_manifest
+from .formats import (DataError, Dataset, feature_files, read_manifest,
+                      write_manifest)
 
 
 @dataclass
@@ -189,42 +189,16 @@ def generate(config):
 
 
 # ---------------------------------------------------------------------------
-# on-disk format: manifest.json (checked by formats.read_manifest) + raw
-# little-endian float32 feature files
+# on-disk format: manifest.json (formats.write_manifest, read_manifest)
+# + raw little-endian float32 feature files
 
 def save(dataset, directory):
     os.makedirs(directory, exist_ok=True)
-    videos = []
-    for split, samples in (("train", dataset.train), ("test", dataset.test)):
-        for v in samples:
-            rgb_file = f"{v.id}_rgb.bin"
-            flow_file = f"{v.id}_flow.bin"
-            for name, arr in ((rgb_file, v.rgb), (flow_file, v.flow)):
-                with open(os.path.join(directory, name), "wb") as fh:
-                    fh.write(np.ascontiguousarray(arr,
-                                                  dtype="<f4").tobytes())
-            entry = {
-                "id": v.id,
-                "split": split,
-                "T": int(v.num_snippets),
-                "label": [float(x) for x in v.label],
-                "rgb_file": rgb_file,
-                "flow_file": flow_file,
-            }
-            if v.gt_segments is not None:
-                entry["gt_segments"] = [[int(s), int(e), int(c)]
-                                        for s, e, c in v.gt_segments]
-            videos.append(entry)
-    manifest = {
-        "C": dataset.num_classes,
-        "D": dataset.feature_dim,
-        "class_names": dataset.class_names,
-        "videos": videos,
-    }
-    path = os.path.join(directory, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for v in dataset.all_videos():
+        for name, arr in zip(feature_files(v.id), (v.rgb, v.flow)):
+            with open(os.path.join(directory, name), "wb") as fh:
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    write_manifest(directory, dataset)
 
 
 def _read_features(where, path, t, d):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 import wtal
 from wtal import basemodel, cli, evaluation, pipeline, synthdata
-from wtal.config import LocalizationConfig, RefinementConfig
+from wtal.config import (SECTIONS, EvaluationConfig, LocalizationConfig,
+                         ModelConfig, RefinementConfig, _settable,
+                         load_run_config)
 from wtal.consensus import STREAMS, fuse_attention
 
 
@@ -154,8 +157,31 @@ JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
 JSON_VALUES = (JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
                | st.dictionaries(st.text(max_size=3), JSON_SCALARS,
                                  max_size=2))
-SECTION_FIELDS = [(name, key) for name, config_cls in cli.SECTIONS.items()
-                  for key in cli._settable(config_cls)]
+SECTION_FIELDS = [(name, key) for name, config_cls in SECTIONS.items()
+                  for key in _settable(config_cls)]
+MODEL_FIELDS = [f.name for f in dataclasses.fields(ModelConfig)]
+
+
+def edited_checkpoint(workspace, path, edit):
+    """Write to path the final RGB checkpoint of the workspace run after
+    edit(header, body) has changed its header dict and parameter bytes."""
+    data = (workspace["run"] / "iter1_rgb.ckpt").read_bytes()
+    (hlen,) = struct.unpack("<I", data[:4])
+    header = json.loads(data[4:4 + hlen])
+    body = bytearray(data[4 + hlen:])
+    edit(header, body)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(struct.pack("<I", len(blob)) + blob + body)
+
+
+def localize_with(workspace, rgb_checkpoint, out):
+    """Exit code of `wtal localize` with the given RGB checkpoint and the
+    workspace run's final flow checkpoint."""
+    return cli.main(["localize", "--checkpoint-rgb", str(rgb_checkpoint),
+                     "--checkpoint-flow",
+                     str(workspace["run"] / "iter1_flow.ckpt"),
+                     "--dataset", str(workspace["data"]),
+                     "--out", str(out)])
 
 
 class TestGenData:
@@ -211,7 +237,7 @@ class TestTrain:
         assert "beta" not in resolved["localization"]
         assert resolved["model"] == {"conv_layers": 2, "embed_dim": None,
                                      "kernel_size": 3}
-        reloaded = cli.load_run_config(path)
+        reloaded = load_run_config(path)
         assert reloaded.seed == 5
         assert reloaded.refinement["epochs_initial"] == 4
 
@@ -619,6 +645,16 @@ class TestLocalizeEval:
          ["'params'", "from field 'config'"]),
         (lambda header, body: header["config"].update(kernel_size="3"),
          ["'config'", "kernel_size"]),
+        (lambda header, body: header["config"].update(extra=1),
+         ["'config'", "unknown field 'extra'"]),
+        (lambda header, body: header["config"].pop("num_classes"),
+         ["'config'", "missing field 'num_classes'"]),
+        (lambda header, body: header["config"].update(kernel_size=True),
+         ["'config'", "'kernel_size'"]),
+        # more layers than the file's bytes can hold: refused before the
+        # layout, whose length grows with the count, is built
+        (lambda header, body: header["config"].update(conv_layers=10_000),
+         ["'config'", "field 'conv_layers' is 10000"]),
         (lambda header, body: body.extend(b"\0" * 8),
          ["parameter block"]),
         # body order is sorted by name: att_b (1 value), att_w (8), cls_b
@@ -631,27 +667,45 @@ class TestLocalizeEval:
          ["'cls_w'", "value -inf at index [1, 2] is not finite"]),
     ], ids=["no-format", "no-modality", "no-config", "no-params", "no-meta",
             "param-missing", "param-shape", "config-narrower",
-            "config-type", "trailing-bytes", "param-nan", "param-inf"])
+            "config-type", "config-unknown-key", "config-no-num-classes",
+            "config-bool", "config-layers", "trailing-bytes", "param-nan",
+            "param-inf"])
     def test_bad_checkpoint_is_data_error(self, workspace, tmp_path, capsys,
                                           edit, names):
-        run_dir = workspace["run"]
-        data = (run_dir / "iter1_rgb.ckpt").read_bytes()
-        (hlen,) = struct.unpack("<I", data[:4])
-        header = json.loads(data[4:4 + hlen])
-        body = bytearray(data[4 + hlen:])
-        edit(header, body)
-        blob = json.dumps(header).encode("utf-8")
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(struct.pack("<I", len(blob)) + blob + body)
-        assert cli.main(["localize", "--checkpoint-rgb", str(bad),
-                         "--checkpoint-flow",
-                         str(run_dir / "iter1_flow.ckpt"),
-                         "--dataset", str(workspace["data"]),
-                         "--out", str(tmp_path / "p.json")]) == 2
+        edited_checkpoint(workspace, bad, edit)
+        assert localize_with(workspace, bad, tmp_path / "p.json") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: {bad}: "), err
         assert all(name in err for name in names), err
+        assert "__init__" not in err, err
+
+    @settings(max_examples=80, deadline=None)
+    @given(fields=st.dictionaries(st.sampled_from(MODEL_FIELDS)
+                                  | st.text(max_size=3), JSON_VALUES,
+                                  max_size=4),
+           keep=st.booleans())
+    def test_any_header_config_exits_0_or_2(self, workspace, fields, keep):
+        """Any JSON object as the header's config, on its own or over the
+        checkpoint's own config."""
+        def edit(header, body):
+            header["config"] = {**header["config"], **fields} if keep \
+                else fields
+
+        path = workspace["root"] / "fuzz.ckpt"
+        edited_checkpoint(workspace, path, edit)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = localize_with(workspace, path,
+                                 workspace["root"] / "fuzz_p.json")
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 2, err
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: {path}: "), err
 
 
 def plot(workspace, out, *extra, split="train"):
@@ -876,6 +930,13 @@ class TestEvalLoadsNoNumpy:
             "-c", "import sys, wtal.cli; print('numpy' in sys.modules)")
         assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
+    @pytest.mark.parametrize("module", ["wtal.config", "wtal.formats",
+                                        "wtal.evaluation"])
+    def test_import_module_alone(self, module):
+        run = python_with_src(
+            "-c", f"import sys, {module}; print('numpy' in sys.modules)")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
     def test_usage_error(self, tmp_path):
         run = python_with_src("-c", RUN_CLI, "eval", "--dataset",
                               str(tmp_path), "--out", str(tmp_path / "r"))
@@ -899,7 +960,7 @@ class TestEvalLoadsNoNumpy:
         dataset = synthdata.load(workspace["data"], split="test")
         report = pipeline.evaluate_models(
             models, dataset.test, LocalizationConfig(),
-            RefinementConfig().beta, evaluation.EvaluationConfig().thresholds,
+            RefinementConfig().beta, EvaluationConfig().thresholds,
             dataset.num_classes)
         numeric = tmp_path / "numeric"
         evaluation.save_report(f"{numeric}.json", f"{numeric}.txt", report)
