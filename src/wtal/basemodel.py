@@ -52,31 +52,19 @@ class StreamModel:
     mapping from each name of ``param_layout(config)`` to a view into it,
     so a parameter is written through its view
     (``model.params[name][...] = value``) and never detached from
-    ``flat``. A ``params`` dict given to the constructor is copied into
-    that layout; without one every parameter is zero.
+    ``flat``. A model is made from its config alone, with every parameter
+    zero; ``initialize`` and ``load_checkpoint`` then fill it.
     """
 
     config: ModelConfig
     modality: str
-    params: Mapping = field(default_factory=dict)
+    params: Mapping = field(init=False)
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         layout = param_layout(self.config)
-        given = self.params
         self.flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
         self.params = MappingProxyType(_views(self.flat, layout))
-        if not given:
-            return
-        if set(given) != set(self.params):
-            raise ShapeError(f"parameter names {sorted(given)} do not match "
-                             f"{sorted(self.params)}")
-        for name, view in self.params.items():
-            if np.shape(given[name]) != view.shape:
-                raise ShapeError(f"parameter {name!r} has shape "
-                                 f"{np.shape(given[name])}, expected "
-                                 f"{view.shape}")
-            view[...] = given[name]
 
     @staticmethod
     def initialize(config, modality, rng):
@@ -148,8 +136,8 @@ def backward(model, fp, d_attention=None, d_prediction=None, out=None):
     w.r.t. attention and video prediction (either or both).
 
     The gradient overwrites the parameters of ``out``, a StreamModel of
-    the same config (a new one when None), and is returned as its
-    ``params``. Reusing ``out`` across calls reuses its named views.
+    the same config (a new one per call when None), and is returned as
+    its ``params``. Reusing ``out`` across calls reuses its named views.
     """
     if out is None:
         out = StreamModel(config=model.config, modality=model.modality)
@@ -163,7 +151,7 @@ def backward(model, fp, d_attention=None, d_prediction=None, out=None):
     d_embedded = np.zeros_like(embedded)
     d_att = np.zeros_like(attention)
     if d_attention is not None:
-        d_att += np.asarray(d_attention, dtype=np.float64)
+        d_att += d_attention
 
     if d_prediction is not None:
         d_logits = numkit.softmax_backward(fp.video_prediction, d_prediction)

@@ -1,8 +1,8 @@
 """Command-line entry point: the argument parser, the commands gen-data,
 train, localize, eval and plot, and main; ``config`` reads their config.
 
-Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numeric
-failure during training.
+Exit codes: 0 success, 1 usage error, 2 data/config error (out of memory
+included), 3 numeric failure during training.
 """
 
 import argparse
@@ -277,6 +277,10 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # the input asked for the size that could not be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

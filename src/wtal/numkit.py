@@ -2,8 +2,9 @@
 passes, the convex fusion of two streams, the Adam optimizer, and a
 finite-difference gradient checker.
 
-All arrays are float64 numpy arrays. Every backward function is a pure
-function of the recorded forward inputs, so there is no tape.
+All arrays are float64 numpy arrays, and the layer kernels convert none
+of their inputs. Every backward function is a pure function of the
+recorded forward inputs, so there is no tape.
 """
 
 from dataclasses import dataclass
@@ -15,10 +16,6 @@ class ShapeError(ValueError):
     """Raised when operand shapes are inconsistent."""
 
 
-def _as_f64(x):
-    return np.asarray(x, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # temporal convolution (1-D over time, zero padding, stride 1)
 
@@ -27,9 +24,6 @@ def temporal_conv_forward(inp, weights, bias):
 
     Zero padding keeps the output length equal to T. K must be odd.
     """
-    inp = _as_f64(inp)
-    weights = _as_f64(weights)
-    bias = _as_f64(bias)
     if inp.ndim != 2 or inp.shape[0] < 1:
         raise ShapeError("input must be a (T, D_in) matrix with T >= 1")
     if weights.ndim != 3:
@@ -56,9 +50,6 @@ def temporal_conv_backward(inp, weights, d_out, need_input=True):
     With need_input false the input gradient is not computed and comes
     back as None (the first layer of a model has no use for it).
     """
-    inp = _as_f64(inp)
-    weights = _as_f64(weights)
-    d_out = _as_f64(d_out)
     t, d_in = inp.shape
     k = weights.shape[0]
     half = k // 2
@@ -81,9 +72,6 @@ def temporal_conv_backward(inp, weights, d_out, need_input=True):
 
 def fc_forward(inp, weights, bias):
     """Affine map inp @ weights + bias; inp may be a row or a matrix."""
-    inp = _as_f64(inp)
-    weights = _as_f64(weights)
-    bias = _as_f64(bias)
     if weights.ndim != 2 or inp.shape[-1] != weights.shape[0]:
         raise ShapeError("fc: input width does not match weight rows")
     if bias.shape != (weights.shape[1],):
@@ -92,17 +80,11 @@ def fc_forward(inp, weights, bias):
 
 
 def fc_backward(inp, weights, d_out):
-    """Gradients of fc_forward w.r.t. input, weights, bias."""
-    inp = _as_f64(inp)
-    d_out = _as_f64(d_out)
-    if inp.ndim == 1:
-        d_w = np.outer(inp, d_out)
-        d_b = d_out.copy()
-    else:
-        d_w = inp.T @ d_out
-        d_b = d_out.sum(axis=0)
-    d_inp = d_out @ np.asarray(weights).T
-    return d_inp, d_w, d_b
+    """Gradients of fc_forward w.r.t. input, weights, bias for one input
+    row, the pooled feature; a matrix input is a ShapeError."""
+    if inp.ndim != 1:
+        raise ShapeError("fc_backward: input must be one row")
+    return d_out @ weights.T, np.outer(inp, d_out), d_out.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +92,6 @@ def fc_backward(inp, weights, d_out):
 
 def sigmoid(x):
     """Numerically stable logistic function, elementwise."""
-    x = _as_f64(x)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -121,22 +102,20 @@ def sigmoid(x):
 
 def sigmoid_backward(sig, d_out):
     """Gradient through sigmoid given its *output* value."""
-    sig = _as_f64(sig)
-    return _as_f64(d_out) * sig * (1.0 - sig)
+    return d_out * sig * (1.0 - sig)
 
 
 def relu(x):
-    return np.maximum(_as_f64(x), 0.0)
+    return np.maximum(x, 0.0)
 
 
 def relu_backward(pre, d_out):
     """Gradient through relu given the *pre-activation* value."""
-    return _as_f64(d_out) * (_as_f64(pre) > 0)
+    return d_out * (pre > 0)
 
 
 def softmax(z):
     """Stable softmax over the last axis (max subtraction)."""
-    z = _as_f64(z)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -144,8 +123,6 @@ def softmax(z):
 
 def softmax_backward(probs, d_probs):
     """Gradient w.r.t. logits given softmax output and upstream gradient."""
-    probs = _as_f64(probs)
-    d_probs = _as_f64(d_probs)
     inner = (probs * d_probs).sum(axis=-1, keepdims=True)
     return probs * (d_probs - inner)
 

@@ -50,9 +50,10 @@ class GeneratorConfig:
                        self.action_length):
             if lo > hi or lo < 1:
                 raise DataError("ranges must be nonempty and positive")
-        for rate in (self.rgb_false_positive_rate, self.flow_miss_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise DataError("rates must lie in [0, 1]")
+        for name in ("rgb_false_positive_rate", "flow_miss_rate"):
+            if not 0.0 <= (rate := getattr(self, name)) <= 1.0:
+                raise DataError(f"field {name!r} must lie in [0, 1], got "
+                                f"{rate}")
         if self.num_train < 1 or self.num_test < 0:
             raise DataError("need at least one training video")
         if self.noise_smoothing < 1 or self.noise_smoothing % 2 == 0:

@@ -158,10 +158,10 @@ class TestGradientSuite:
             pseudo = (rng.integers(0, 2, size=6).astype(float)
                       if seed % 2 else None)
 
+            # grad_check moves model.params in place, views into
+            # model.flat
             def full_fn(params):
-                probe = StreamModel(config=model_cfg, modality="rgb",
-                                    params=params)
-                return full_loss_and_grads(probe, features, label,
+                return full_loss_and_grads(model, features, label,
                                            gt=pseudo)
 
             rep = numkit.grad_check(full_fn, model.params)

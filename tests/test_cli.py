@@ -2,8 +2,6 @@ import contextlib
 import dataclasses
 import io
 import json
-import os
-import pathlib
 import shutil
 import struct
 import subprocess
@@ -14,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wtal
-from wtal import basemodel, cli, evaluation, pipeline, synthdata
+from wtal import basemodel, cli, evaluation, formats, pipeline, synthdata
 from wtal.config import (SECTIONS, EvaluationConfig, LocalizationConfig,
                          ModelConfig, RefinementConfig, _settable,
                          load_run_config)
@@ -174,14 +171,14 @@ def edited_checkpoint(workspace, path, edit):
     path.write_bytes(struct.pack("<I", len(blob)) + blob + body)
 
 
-def localize_with(workspace, rgb_checkpoint, out):
+def localize_with(workspace, rgb_checkpoint, out, *extra):
     """Exit code of `wtal localize` with the given RGB checkpoint and the
     workspace run's final flow checkpoint."""
     return cli.main(["localize", "--checkpoint-rgb", str(rgb_checkpoint),
                      "--checkpoint-flow",
                      str(workspace["run"] / "iter1_flow.ckpt"),
                      "--dataset", str(workspace["data"]),
-                     "--out", str(out)])
+                     "--out", str(out), *extra])
 
 
 class TestGenData:
@@ -213,6 +210,37 @@ class TestGenData:
             "usage error: argument --seed: expected an integer >= 0, "
             "got -3\n")
         assert not out.exists()
+
+    def test_rate_options_reach_the_generator(self, tmp_path):
+        small = ["--videos", "4", "--test-videos", "2", "--classes", "3",
+                 "--dim", "8", "--seed", "7"]
+        out = tmp_path / "zero"
+        assert cli.main(["gen-data", *small, "--confounder-rate", "0",
+                         "--flow-miss-rate", "0", "--out", str(out)]) == 0
+        reference = tmp_path / "reference"
+        synthdata.save(synthdata.generate(synthdata.GeneratorConfig(
+            num_train=4, num_test=2, num_classes=3, feature_dim=8, seed=7,
+            rgb_false_positive_rate=0.0, flow_miss_rate=0.0)), reference)
+        assert tree_bytes(out) == tree_bytes(reference)
+        default = tmp_path / "default"
+        assert cli.main(["gen-data", *small, "--out", str(default)]) == 0
+        assert tree_bytes(default) != tree_bytes(out)
+
+    def test_rate_out_of_range_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert cli.main(["gen-data", "--flow-miss-rate", "1.5",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: field 'flow_miss_rate' must lie in [0, 1], got 1.5\n")
+        assert not out.exists()
+
+    def test_out_of_memory_is_data_error(self, tmp_path, capsys):
+        # 10^15 classes ask for PiB, which fails without allocating
+        assert cli.main(["gen-data", "--classes", "1000000000000000",
+                         "--out", str(tmp_path / "data")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("error: out of memory: Unable to allocate ")
 
 
 class TestTrain:
@@ -401,21 +429,19 @@ class TestTrain:
         assert feature_file in err
         assert "snippet 2, dimension 3 is not finite" in err
 
-    def test_diverging_training_exit_code_3(self, workspace, tmp_path):
+    def test_diverging_training_exit_code_3(self, workspace, tmp_path,
+                                            python_env):
         # a child process: pytest records numpy's warnings, so capsys
         # would not see them
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(
             {"refinement": {"iterations": 0, "epochs_initial": 1,
                             "learning_rate": 1e300}}))
-        src = str(pathlib.Path(wtal.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         run = subprocess.run(
             [sys.executable, "-m", "wtal.cli", "train", "--config",
              str(config), "--dataset", str(workspace["data"]),
              "--out", str(tmp_path / "r"), "--seed", "0"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=python_env())
         assert run.returncode == 3
         assert run.stderr.count("\n") == 1, run.stderr
         assert run.stderr.startswith("numeric failure: ")
@@ -447,6 +473,32 @@ class TestLocalizeEval:
         report = json.loads((tmp_path / "report.json").read_text())
         assert set(report["mAP"]) == {f"{0.1 * i:g}" for i in range(1, 10)}
         assert (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("mode", ["rgb", "flow"])
+    def test_single_stream_mode(self, workspace, tmp_path, mode):
+        run_dir = workspace["run"]
+        out = tmp_path / "proposals.json"
+        assert localize_with(workspace, run_dir / "iter1_rgb.ckpt", out,
+                             "--mode", mode) == 0
+        models = {s: basemodel.load_checkpoint(
+            run_dir / f"iter1_{s}.ckpt")[0] for s in STREAMS}
+        dataset = synthdata.load(workspace["data"], split="test")
+        reference = tmp_path / "reference.json"
+        formats.save_proposals(reference, pipeline.localize_dataset(
+            models, dataset.test, LocalizationConfig(),
+            RefinementConfig().beta, mode=mode), dataset.class_names)
+        assert out.read_bytes() == reference.read_bytes()
+
+    def test_out_of_memory_is_data_error(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"localization": {"upsample_factor": 10 ** 14}}))
+        assert localize_with(workspace, workspace["run"] / "iter1_rgb.ckpt",
+                             tmp_path / "p.json",
+                             "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("error: out of memory: Unable to allocate ")
 
     def test_localize_rerun_identical_bytes(self, workspace, tmp_path):
         run_dir = workspace["run"]
@@ -740,6 +792,18 @@ class TestPlot:
             assert svg.count("<polyline") == 3
             assert svg.startswith("<svg")
 
+    def test_out_of_memory_in_a_worker_is_data_error(
+            self, workspace, tmp_path, capsys, assert_no_child_left):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"localization": {"upsample_factor": 10 ** 14}}))
+        assert plot(workspace, tmp_path / "plots", "--config",
+                    str(config)) == 2
+        assert_no_child_left()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("error: out of memory: Unable to allocate ")
+
     def test_plot_with_pseudo_gt_column(self, workspace, tmp_path):
         run_dir = workspace["run"]
         out = tmp_path / "plots_gt"
@@ -904,14 +968,6 @@ class TestReadsOnlyWhatItUses:
             if name != "resolved_config.json"}
 
 
-def python_with_src(*args):
-    """subprocess.run of this interpreter with args, the package's source
-    directory on PYTHONPATH; output is captured as text."""
-    src = str(pathlib.Path(wtal.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
 
 
 # `python -m wtal.cli ARGS`, which then reports on stderr whether numpy
@@ -925,19 +981,19 @@ finally:
 
 
 class TestEvalLoadsNoNumpy:
-    def test_import_cli(self):
+    def test_import_cli(self, python_with_src):
         run = python_with_src(
             "-c", "import sys, wtal.cli; print('numpy' in sys.modules)")
         assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
     @pytest.mark.parametrize("module", ["wtal.config", "wtal.formats",
                                         "wtal.evaluation"])
-    def test_import_module_alone(self, module):
+    def test_import_module_alone(self, module, python_with_src):
         run = python_with_src(
             "-c", f"import sys, {module}; print('numpy' in sys.modules)")
         assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
-    def test_usage_error(self, tmp_path):
+    def test_usage_error(self, tmp_path, python_with_src):
         run = python_with_src("-c", RUN_CLI, "eval", "--dataset",
                               str(tmp_path), "--out", str(tmp_path / "r"))
         assert run.returncode == 1
@@ -946,7 +1002,7 @@ class TestEvalLoadsNoNumpy:
                               "numpy imported: False\n")
 
     def test_report_matches_the_numeric_path(self, workspace, proposals,
-                                             tmp_path):
+                                             tmp_path, python_with_src):
         out = tmp_path / "report"
         run = python_with_src("-c", RUN_CLI, "eval", "--proposals",
                               str(proposals), "--dataset",

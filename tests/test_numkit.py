@@ -77,6 +77,11 @@ class TestFc:
         with pytest.raises(ShapeError):
             numkit.fc_forward(np.ones(3), np.ones((2, 2)), np.zeros(2))
 
+    def test_backward_takes_one_row_only(self):
+        with pytest.raises(ShapeError):
+            numkit.fc_backward(np.ones((4, 3)), np.ones((3, 2)),
+                               np.ones((4, 2)))
+
 
 class TestNonlinearities:
     def test_sigmoid_at_zero(self):

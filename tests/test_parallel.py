@@ -5,7 +5,6 @@ error."""
 import functools
 import json
 import os
-import pathlib
 import pickle
 import signal
 import subprocess
@@ -13,16 +12,12 @@ import sys
 
 import pytest
 
-import wtal
 from wtal import basemodel, cli, consensus, parallel, synthdata
 from wtal.config import LossConfig, ModelConfig, RefinementConfig
 from wtal.consensus import run_refinement
 from wtal.formats import DataError, NumericError
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -43,7 +38,8 @@ def forks(monkeypatch):
 
 class TestForkMap:
     @pytest.mark.parametrize("processes", [1, 2, 3, 7, 9])
-    def test_results_in_item_order(self, forks, processes):
+    def test_results_in_item_order(self, forks, processes,
+                                   assert_no_child_left):
         items = list(range(7))
         out = parallel.fork_map(lambda i: (i, os.getpid()), items, processes,
                                 str)
@@ -60,7 +56,8 @@ class TestForkMap:
         assert forks == []
 
     @pytest.mark.parametrize("processes", [1, 2, 3])
-    def test_lowest_indexed_failure_is_raised(self, processes):
+    def test_lowest_indexed_failure_is_raised(self, processes,
+                                              assert_no_child_left):
         def function(i):
             if i in (2, 3):
                 raise ValueError(f"item {i}")
@@ -71,7 +68,8 @@ class TestForkMap:
         assert_no_child_left()
 
     @pytest.mark.parametrize("death", ["signal", "exit"])
-    def test_child_ending_without_report_is_data_error(self, death):
+    def test_child_ending_without_report_is_data_error(self, death,
+                                                       assert_no_child_left):
         parent = os.getpid()
 
         def function(i):
@@ -135,14 +133,6 @@ def run_files(out):
             if p.is_file() and p.name != "resolved_config.json"}
 
 
-def python_env(drop=()):
-    """This environment without the names in ``drop``, with the package's
-    source directory on PYTHONPATH."""
-    env = {k: v for k, v in os.environ.items() if k not in drop}
-    src = str(pathlib.Path(wtal.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def force_workers(monkeypatch, workers, results=None):
@@ -160,7 +150,8 @@ def force_workers(monkeypatch, workers, results=None):
 class TestStreamWorkers:
     @pytest.mark.parametrize("kind", ["hard", "soft"])
     def test_artifacts_do_not_depend_on_workers(self, data_dir, tmp_path,
-                                                monkeypatch, forks, kind):
+                                                monkeypatch, forks, kind,
+                                                assert_no_child_left):
         config = write_config(tmp_path / "config.json", kind)
         files, results = {}, []
         for workers in (1, 2):
@@ -182,7 +173,8 @@ class TestStreamWorkers:
         assert forked.checkpoint_meta == serial.checkpoint_meta
 
     def test_forks_safely_with_blas_threads_live(self, data_dir, tmp_path,
-                                                 monkeypatch, capsys):
+                                                 monkeypatch, capsys,
+                                                 python_env):
         """``wtal train`` in a fresh interpreter whose BLAS may start its
         own threads, and whose stdout is a block-buffered pipe. A worker
         that wrote out the inherited buffer, returned into the caller or
@@ -213,7 +205,8 @@ class TestStreamWorkers:
         assert run_files(out) == run_files(tmp_path / "serial")
 
     def test_numeric_failure_in_the_worker_is_the_serial_one(self, data_dir,
-                                                             tmp_path):
+                                                             tmp_path,
+                                                             python_env):
         """A non-finite flow loss, met in the worker, ends the run as the
         serial run ends: one stderr line, exit 3, no worker left."""
         config = write_config(tmp_path / "config.json", "hard")
@@ -251,7 +244,8 @@ class TestStreamWorkers:
                                  "stream=flow iteration=0 epoch=0 video=")
 
     def test_worker_ending_without_report_is_data_error(
-            self, data_dir, tmp_path, monkeypatch, capsys):
+            self, data_dir, tmp_path, monkeypatch, capsys,
+            assert_no_child_left):
         parent = os.getpid()
         real = basemodel.forward
 
@@ -272,7 +266,8 @@ class TestStreamWorkers:
     @pytest.mark.parametrize("cpus, forked", [({0}, 0), ({0, 1}, 3),
                                               ({0, 1, 2, 3}, 3)])
     def test_default_uses_up_to_two_cpus(self, data_dir, tmp_path,
-                                         monkeypatch, forks, cpus, forked):
+                                         monkeypatch, forks, cpus, forked,
+                                         assert_no_child_left):
         monkeypatch.setattr(consensus, "FORK_MIN_WORK", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         config = write_config(tmp_path / "config.json", "hard")

@@ -5,7 +5,6 @@ processes, whose number changes no file and no error."""
 import csv
 import functools
 import os
-import pathlib
 import shutil
 import signal
 import subprocess
@@ -14,7 +13,6 @@ import sys
 import numpy as np
 import pytest
 
-import wtal
 from wtal import basemodel, cli, consensus, pipeline, synthdata
 from wtal.config import (LocalizationConfig, LossConfig, ModelConfig,
                          RefinementConfig)
@@ -207,14 +205,12 @@ def files_of(directory):
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestPlotWorkers:
     @pytest.mark.parametrize("case", ["gt", "hard", "soft", "single"])
-    def test_files_do_not_depend_on_workers(self, trained, tmp_path, case):
+    def test_files_do_not_depend_on_workers(self, trained, tmp_path, case,
+                                            assert_no_child_left):
         dataset = trained["dataset"]
         videos = dataset.train if case in ("hard", "soft") else dataset.test
         videos = videos[:1] if case == "single" else videos
@@ -243,7 +239,7 @@ class TestPlotWorkers:
     # 1, 3; 3 workers give the parent 0, 3 and the children 1, 4 and 2
     @pytest.mark.parametrize("bad", [(1,), (2,), (0, 3), (1, 2), (3, 4)])
     def test_failure_is_the_serial_one(self, trained, tmp_path, capsys,
-                                       monkeypatch, bad):
+                                       monkeypatch, bad, assert_no_child_left):
         videos = trained["dataset"].test
         out = tmp_path / "plots"
         real = pipeline.write_plot_bundle
@@ -267,7 +263,8 @@ class TestPlotWorkers:
     @pytest.mark.parametrize("death", ["signal", "exit"])
     def test_child_ending_without_report_is_data_error(self, trained,
                                                        tmp_path, monkeypatch,
-                                                       death):
+                                                       death,
+                                                       assert_no_child_left):
         parent = os.getpid()
         real = pipeline._plot_video
 
@@ -292,17 +289,14 @@ class TestPlotWorkers:
                                   "index 1 ended with ")
 
     def test_forks_safely_with_blas_threads_live(self, trained, tmp_path,
-                                                 monkeypatch, capsys):
+                                                 monkeypatch, capsys,
+                                                 python_env):
         """``wtal plot`` in a fresh interpreter whose BLAS may start its
         own threads, and whose stdout is a block-buffered pipe. A child
         that wrote out the inherited buffer, returned into the caller or
         ran the interpreter's exit handlers would add a line."""
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                            "MKL_NUM_THREADS", "PYTHONUNBUFFERED")}
-        src = str(pathlib.Path(wtal.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        env = python_env(drop=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                               "MKL_NUM_THREADS", "PYTHONUNBUFFERED"))
         script = ("import atexit, sys\n"
                   "from wtal import cli\n"
                   "print('before')\n"
