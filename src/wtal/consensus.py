@@ -12,9 +12,10 @@ import csv
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import basemodel, losses, numkit, parallel
-from .formats import DataError, NumericError
+from .formats import DataError, NumericError, write_csv
 from .numkit import fuse_attention
 
 STREAMS = ("rgb", "flow")
@@ -30,11 +31,9 @@ FORK_MIN_WORK = 33000
 
 def save_pseudo_gt(path, values):
     """CSV with header "snippet,pseudo_gt", one row per 1-based snippet."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snippet", "pseudo_gt"])
-        for i, value in enumerate(values, start=1):
-            writer.writerow([i, repr(float(value))])
+    values = np.asarray(values, dtype=np.float64).tolist()
+    write_csv(path, ["snippet", "pseudo_gt"],
+              [range(1, len(values) + 1), values])
 
 
 def load_pseudo_gt(path, num_snippets):
@@ -63,14 +62,17 @@ def load_pseudo_gt(path, num_snippets):
 
 def max_pool_smooth(attention, kernel):
     """Temporal max pooling, stride 1, centered windows truncated at the
-    sequence boundaries (no padding)."""
+    sequence boundaries (no padding). A NaN in a window makes its max
+    NaN; the max of +0.0 and -0.0 may be either."""
     if kernel % 2 == 0 or kernel < 1:
         raise ValueError("kernel must be odd and positive")
     a = np.asarray(attention, dtype=np.float64)
-    half = kernel // 2
-    t = a.shape[0]
-    return np.array([a[max(0, i - half):min(t, i + half + 1)].max()
-                     for i in range(t)])
+    if not a.size:
+        return a.copy()
+    # -inf outside the sequence is never a window's max, so the windows of
+    # the padded copy have the maxima of the truncated ones
+    padded = np.pad(a, kernel // 2, constant_values=-np.inf)
+    return sliding_window_view(padded, kernel).max(axis=1)
 
 
 def make_pseudo_gt(fused, kind, theta):

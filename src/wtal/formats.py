@@ -1,13 +1,16 @@
-"""The JSON files the CLI reads and writes, and the errors it reports.
+"""The JSON files the CLI reads and writes, the CSV body writer, and the
+errors the CLI reports.
 
 A dataset directory holds manifest.json (classes, feature width, and per
 video its id, split, T, label, feature file names and ground truth) next
 to the raw feature files, which this module never opens. A proposals
 file holds {"results": {video_id: [{label, score, segment}]}}. Both are
 read and written here, and every JSON file is written by write_json.
-Every reader checks what it reads and raises a one-line DataError naming
-the file and the field. The module imports no numpy, so ``wtal eval``,
-which reads these two files and a config, never loads it.
+Every CSV file but the training log (pseudo ground truth, plot data) is
+written by write_csv. Every reader checks what it reads and raises a
+one-line DataError naming the file and the field. The module imports no
+numpy, so ``wtal eval``, which reads these two files and a config, never
+loads it.
 """
 
 import json
@@ -84,6 +87,17 @@ def write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, header, columns):
+    """Write a CSV of the header and one row per index of the equal-length
+    columns, as csv.writer writes cells that need no quoting: a str as it
+    is, an int in decimal, a float as its shortest round-trip repr, each
+    row ending in \\r\\n. Columns of unequal length are a ValueError."""
+    row = ",".join(["%s"] * len(columns)) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(map(row.__mod__, zip(*columns, strict=True))))
 
 
 # ---------------------------------------------------------------------------

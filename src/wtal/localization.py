@@ -104,16 +104,17 @@ def localize(video_id, rgb_out, flow_out, config, beta, mode="fused"):
 
     factor = config.upsample_factor
     att_up = upsample_linear(attention, factor)
-    tcam_up = upsample_linear(tcam, factor)
     categories = select_categories(prediction, config.top_k,
                                    config.class_score_floor)
+    # upsampling is per column, so only the scored columns are upsampled
+    tcam_up = upsample_linear(tcam[:, [c - 1 for c in categories]], factor)
     # attention is class-agnostic, so one segment set serves every category
     segments = extract_segments(att_up, config.attention_threshold)
     proposals = []
-    for category in categories:
-        weights = att_up * tcam_up[:, category - 1]
+    for column, category in enumerate(categories):
+        weighted = att_up * tcam_up[:, column]
         for seg_start, seg_end in segments:
-            score = oic_score(seg_start, seg_end, weights)
+            score = oic_score(seg_start, seg_end, weighted)
             if score > 0.0:
                 proposals.append(ActionProposal(
                     video_id=video_id,

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,24 @@ class TestMaxPoolSmooth:
         with pytest.raises(ValueError):
             max_pool_smooth([0.5, 0.5], 2)
 
+    @staticmethod
+    def reference(attention, kernel):
+        """One max per position over its truncated window."""
+        a = np.asarray(attention, dtype=np.float64)
+        half = kernel // 2
+        return np.array([a[max(0, i - half):i + half + 1].max()
+                         for i in range(len(a))])
+
+    # every float, NaN and +-inf among them; assert_array_equal counts NaN
+    # equal to NaN and +0.0 equal to -0.0, whose max may be either
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats() | st.floats(0.0, 1.0), max_size=40),
+           kernel=st.integers(0, 25).map(lambda k: 2 * k + 1))
+    def test_matches_reference_loop(self, values, kernel):
+        out = max_pool_smooth(values, kernel)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, self.reference(values, kernel))
+
 
 class TestMakePseudoGt:
     def test_hard_strict_at_threshold(self):
@@ -147,6 +167,20 @@ class TestPseudoGtCsv:
         save_pseudo_gt(path, values)
         assert path.read_text().splitlines()[0] == "snippet,pseudo_gt"
         np.testing.assert_array_equal(load_pseudo_gt(path, 17), values)
+
+    @pytest.mark.parametrize("values", [
+        [], [0.5], [0.0, 1.0, 1e-17, 0.1 + 0.2, float("nan"), 5e-324],
+        np.random.default_rng(4).uniform(size=300)])
+    def test_bytes_match_csv_writer(self, tmp_path, values):
+        save_pseudo_gt(tmp_path / "new.csv", values)
+        with open(tmp_path / "ref.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["snippet", "pseudo_gt"])
+            for i, value in enumerate(values, start=1):
+                writer.writerow([i, repr(float(value))])
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
 
     def test_row_count_must_match(self, tmp_path):
         path = tmp_path / "v.csv"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtal import localization
@@ -10,6 +10,7 @@ from wtal.formats import (ActionProposal, proposals_from_json,
                           proposals_to_json)
 from wtal.localization import (extract_segments, localize, oic_score,
                                select_categories, upsample_linear)
+from wtal.numkit import fuse_attention
 
 
 class TestUpsampleLinear:
@@ -274,6 +275,59 @@ class TestLocalize:
         proposals = localize("v", out, out, self.config, self.beta)
         for p in proposals:
             assert 0.0 <= p.start < p.end <= 12.0
+
+
+def reference_localize(video_id, rgb_out, flow_out, config, beta):
+    """localize in fused mode with the whole T-CAM upsampled."""
+    attention, tcam, prediction = (
+        fuse_attention(getattr(rgb_out, name), getattr(flow_out, name), beta)
+        for name in ("attention", "tcam", "video_prediction"))
+    factor = config.upsample_factor
+    att_up = upsample_linear(attention, factor)
+    tcam_up = upsample_linear(tcam, factor)
+    segments = extract_segments(att_up, config.attention_threshold)
+    proposals = []
+    for category in select_categories(prediction, config.top_k,
+                                      config.class_score_floor):
+        weights = att_up * tcam_up[:, category - 1]
+        for seg_start, seg_end in segments:
+            score = oic_score(seg_start, seg_end, weights)
+            if score > 0.0:
+                proposals.append(ActionProposal(
+                    video_id, (seg_start - 1) / factor, seg_end / factor,
+                    category, score))
+    return proposals
+
+
+class TestLocalizeScoredColumns:
+    """localize upsamples only the T-CAM columns of the categories it
+    scores; each proposal keeps its bits."""
+
+    # top_k runs past C (at most 6); a floor of 1.0 lets no category of a
+    # random prediction through
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 30),
+           c=st.integers(2, 6), top_k=st.integers(1, 8),
+           floor=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+           factor=st.sampled_from([1, 3, 8]))
+    def test_matches_full_tcam_reference(self, seed, t, c, top_k, floor,
+                                         factor):
+        rng = np.random.default_rng(seed)
+        rgb, flow = (make_outputs(rng.uniform(size=t),
+                                  rng.dirichlet(np.ones(c), size=t),
+                                  rng.dirichlet(np.ones(c)))
+                     for _ in range(2))
+        config = LocalizationConfig(upsample_factor=factor, top_k=top_k,
+                                    class_score_floor=floor)
+        beta = RefinementConfig().beta
+        assert localize("v", rgb, flow, config, beta) == \
+            reference_localize("v", rgb, flow, config, beta)
+
+    def test_no_category_above_floor(self):
+        out = make_outputs(np.full(6, 0.9), np.full((6, 3), 1.0 / 3.0),
+                           [0.4, 0.3, 0.3])
+        config = LocalizationConfig(class_score_floor=0.5)
+        assert localize("v", out, out, config, 0.5) == []
 
 
 class TestProposalJson:

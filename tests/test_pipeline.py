@@ -1,9 +1,11 @@
 """The plot writers against the per-element writers they replaced: every
-file they write must keep its bytes; and the plot bundle's worker
-processes, whose number changes no file and no error."""
+file they write must keep its bytes, whatever videos the same process
+wrote before; and the plot bundle's worker processes, whose number
+changes no file and no error."""
 
 import csv
 import functools
+import json
 import os
 import shutil
 import signal
@@ -12,11 +14,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wtal import basemodel, cli, consensus, pipeline, synthdata
+from wtal import basemodel, cli, consensus, localization, pipeline, synthdata
 from wtal.config import (LocalizationConfig, LossConfig, ModelConfig,
                          RefinementConfig)
-from wtal.formats import ActionProposal, DataError
+from wtal.formats import ActionProposal, DataError, Dataset
+from wtal.numkit import fuse_attention
 from wtal.synthdata import VideoSample
 
 
@@ -166,6 +171,62 @@ class TestAttentionSvg:
 
 
 # ---------------------------------------------------------------------------
+# the "%.2f" formatter of the SVG coordinates
+
+def half_or_neighbour(pair):
+    """(k + 0.5) / 100, or the float one ulp below or above it."""
+    k, step = pair
+    value = (k + 0.5) / 100
+    return float(np.nextafter(value, step * np.inf)) if step else value
+
+
+# every float64 (NaN, +-inf, -0.0, subnormals and the huge among them);
+# the fast path's range and beyond it, up to 1000.00 and past it; the
+# rounding halves (k + 0.5) / 100 and their neighbours, negative ones
+# too; and exact halves such as 0.125, where "%.2f" rounds to even
+COORDINATE = st.one_of(
+    st.floats(),
+    st.floats(0.0, 1100.0),
+    st.tuples(st.integers(-1000, 110_000), st.sampled_from([-1, 0, 1]))
+    .map(half_or_neighbour),
+    st.integers(-80, 8000).map(lambda k: k / 8),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                     1e-17, 5e-324, 999.994999, 999.995, 999.999, 1000.0,
+                     1000.005, 1e300, -1e300]))
+
+
+class TestFormat2f:
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(COORDINATE, max_size=40),
+           sep=st.sampled_from(", "))
+    def test_every_element_is_python_format(self, values, sep):
+        fields = pipeline._format_2f(np.array(values, dtype=np.float64), sep)
+        assert fields.dtype == np.uint8 and len(fields) == len(values)
+        assert [row[row != 0].tobytes().decode("ascii")
+                for row in fields] == [f"{v:.2f}{sep}" for v in values]
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(COORDINATE, min_size=1, max_size=30),
+           factor=st.sampled_from(FACTORS))
+    def test_svg_bytes_match_reference(self, tmp_path_factory, values,
+                                       factor):
+        """Any attention values, so that y coordinates and whole
+        polylines leave the fast path too."""
+        t = len(values)
+        row = np.resize(np.array(values, dtype=np.float64), t * factor)
+        attention = (row, row[::-1].copy(), np.roll(row, 1))
+        out = tmp_path_factory.mktemp("svg")
+        video = make_video(t, [(1, t, 1)])
+        # y0 + 60 * (1 - v) overflows for the largest v, in both writers
+        with np.errstate(over="ignore"):
+            pipeline.write_attention_svg(out / "new.svg", video, attention,
+                                         [])
+            reference_svg(out / "ref.svg", video, attention, [])
+        assert (out / "new.svg").read_bytes() == \
+            (out / "ref.svg").read_bytes()
+
+
+# ---------------------------------------------------------------------------
 # write_plot_bundle's worker processes
 
 @pytest.fixture(scope="module")
@@ -205,6 +266,41 @@ def files_of(directory):
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
+def reference_plot(out_dir, models, video, loc_cfg, beta):
+    """One video's CSV and SVG by the reference writers."""
+    outs = pipeline.stream_outputs(models, video)
+    proposals = localization.localize(video.id, outs["rgb"], outs["flow"],
+                                      loc_cfg, beta)
+    rgb, flow = (localization.upsample_linear(outs[s].attention,
+                                              loc_cfg.upsample_factor)
+                 for s in consensus.STREAMS)
+    attention = (rgb, flow, fuse_attention(rgb, flow, beta))
+    reference_csv(out_dir / f"{video.id}.csv", attention,
+                  loc_cfg.upsample_factor)
+    reference_svg(out_dir / f"{video.id}.svg", video, attention, proposals)
+
+
+@pytest.fixture(scope="module")
+def mixed(tmp_path_factory):
+    """A saved data set for the models of ``trained`` whose test videos are
+    long, short, then long again: T 57, 1, 320, 57."""
+    root = tmp_path_factory.mktemp("mixed")
+    rng = np.random.default_rng(5)
+
+    def video(name, t):
+        return VideoSample(id=name, label=np.array([0.5, 0.5, 0.0]),
+                           rgb=rng.normal(size=(t, 8)),
+                           flow=rng.normal(size=(t, 8)),
+                           gt_segments=[(1, t, 1), (t, t, 2)])
+
+    synthdata.save(Dataset(
+        class_names=["a", "b", "c"], feature_dim=8,
+        train=[video("train0", 20)],
+        test=[video(f"m{i}-{t}", t) for i, t in enumerate((57, 1, 320, 57))]),
+        root / "data")
+    return {"root": root, "dataset": synthdata.load(root / "data")}
+
+
 
 
 class TestPlotWorkers:
@@ -234,6 +330,41 @@ class TestPlotWorkers:
         assert csv_header.endswith(b",pseudo_gt") == (pseudo is not None)
         for workers, found in files.items():
             assert found == files[1], workers
+
+    def test_mixed_lengths_and_factors_in_one_process(
+            self, trained, mixed, tmp_path, monkeypatch, capsys,
+            assert_no_child_left):
+        """Videos of T 57, 1, 320 and 57 at factors 8, 1 and 3, one after
+        the other in this process and its workers, by write_plot_bundle
+        and by ``wtal plot``: every file is the reference writers'."""
+        models, beta = trained["models"], trained["beta"]
+        videos = mixed["dataset"].test
+        real = pipeline.write_plot_bundle
+        for factor in (8, 1, 3):
+            loc_cfg = LocalizationConfig(upsample_factor=factor)
+            ref = tmp_path / f"ref-{factor}"
+            ref.mkdir()
+            for video in videos:
+                reference_plot(ref, models, video, loc_cfg, beta)
+            expected = files_of(ref)
+            for workers in (1, 2, 3):
+                out = tmp_path / f"bundle-{factor}-{workers}"
+                real(out, models, videos, loc_cfg, beta, workers=workers)
+                assert_no_child_left()
+                assert files_of(out) == expected, (factor, workers)
+            config = tmp_path / f"config-{factor}.json"
+            config.write_text(json.dumps(
+                {"localization": {"upsample_factor": factor}}))
+            for workers in (1, None):
+                monkeypatch.setattr(pipeline, "write_plot_bundle",
+                                    functools.partial(real, workers=workers))
+                out = tmp_path / f"cli-{factor}-{workers}"
+                argv = plot_argv(trained, out)
+                argv[argv.index("--dataset") + 1] = str(mixed["root"] / "data")
+                assert cli.main([*argv, "--config", str(config)]) == 0
+                assert_no_child_left()
+                capsys.readouterr()
+                assert files_of(out) == expected, (factor, workers)
 
     # with 5 videos, 2 workers give the parent videos 0, 2, 4 and a child
     # 1, 3; 3 workers give the parent 0, 3 and the children 1, 4 and 2
