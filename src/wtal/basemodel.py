@@ -131,9 +131,9 @@ def infer(model, features):
     return fp
 
 
-def backward(model, fp, d_attention=None, d_prediction=None, out=None):
+def backward(model, fp, d_attention, d_prediction, out=None):
     """Exact parameter gradients given upstream gradients of the losses
-    w.r.t. attention and video prediction (either or both).
+    w.r.t. attention and video prediction.
 
     The gradient overwrites the parameters of ``out``, a StreamModel of
     the same config (a new one per call when None), and is returned as
@@ -148,21 +148,16 @@ def backward(model, fp, d_attention=None, d_prediction=None, out=None):
     grads = dict(out.params)
     embedded = fp.embedded
     attention = fp.attention
-    d_embedded = np.zeros_like(embedded)
-    d_att = np.zeros_like(attention)
-    if d_attention is not None:
-        d_att += d_attention
 
-    if d_prediction is not None:
-        d_logits = numkit.softmax_backward(fp.video_prediction, d_prediction)
-        d_fg, d_w, d_b = numkit.fc_backward(fp.foreground_feature,
-                                            model.params["cls_w"], d_logits)
-        grads["cls_w"] += d_w
-        grads["cls_b"] += d_b
-        # attention-weighted pooling: quotient rule through sum(attention)
-        att_sum = attention.sum()
-        d_att += (embedded - fp.foreground_feature) @ d_fg / att_sum
-        d_embedded += np.outer(attention, d_fg) / att_sum
+    d_logits = numkit.softmax_backward(fp.video_prediction, d_prediction)
+    d_fg, d_w, d_b = numkit.fc_backward(fp.foreground_feature,
+                                        model.params["cls_w"], d_logits)
+    grads["cls_w"] += d_w
+    grads["cls_b"] += d_b
+    # attention-weighted pooling: quotient rule through sum(attention)
+    att_sum = attention.sum()
+    d_att = d_attention + (embedded - fp.foreground_feature) @ d_fg / att_sum
+    d_embedded = np.outer(attention, d_fg) / att_sum
 
     d_att_logit = numkit.sigmoid_backward(attention, d_att)
     grads["att_w"] += embedded.T @ d_att_logit

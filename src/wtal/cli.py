@@ -245,8 +245,7 @@ def build_parser():
         return p
 
     p = inference_parser("localize", "emit scored action proposals")
-    p.add_argument("--mode", choices=("fused", "rgb", "flow"),
-                   default="fused")
+    p.add_argument("--mode", choices=formats.MODES, default="fused")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_localize)
 

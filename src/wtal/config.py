@@ -89,6 +89,8 @@ class LocalizationConfig:
             raise ValueError("attention_threshold must lie in (0, 1)")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
+        if not 0.0 <= self.class_score_floor <= 1.0:
+            raise ValueError("class_score_floor must lie in [0, 1]")
 
 
 @dataclass
@@ -102,9 +104,11 @@ class EvaluationConfig:
             raise ValueError("thresholds must not be empty")
         if not all(0.0 < t <= 1.0 for t in self.thresholds):
             raise ValueError("thresholds must lie in (0, 1]")
-        # mAP is keyed by threshold but averaged over the list's length
-        if len(set(self.thresholds)) != len(self.thresholds):
-            raise ValueError("thresholds must not repeat")
+        # the report keys mAP by f"{t:g}" but averages over the list
+        keys = [f"{t:g}" for t in self.thresholds]
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"thresholds {list(self.thresholds)} must "
+                             f"have distinct report keys, not {keys}")
 
 
 @dataclass

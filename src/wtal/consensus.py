@@ -9,7 +9,7 @@ truth for the next round of training.
 """
 
 import csv
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -119,10 +119,10 @@ class LogRow:
 def save_training_log(path, rows):
     """CSV with one column per LogRow field; floats are written as their
     shortest round-trip repr, an absent pseudo-GT mean as an empty cell."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(LogRow)])
-        writer.writerows(astuple(row) for row in rows)
+    names = [f.name for f in fields(LogRow)]
+    columns = [[getattr(row, name) for row in rows] for name in names]
+    write_csv(path, names, [["" if v is None else v for v in column]
+                            for column in columns])
 
 
 @dataclass

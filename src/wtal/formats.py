@@ -1,12 +1,12 @@
-"""The JSON files the CLI reads and writes, the CSV body writer, and the
-errors the CLI reports.
+"""The JSON files the CLI reads and writes, the CSV body writer, the
+localization modes, and the errors the CLI reports.
 
 A dataset directory holds manifest.json (classes, feature width, and per
 video its id, split, T, label, feature file names and ground truth) next
 to the raw feature files, which this module never opens. A proposals
 file holds {"results": {video_id: [{label, score, segment}]}}. Both are
 read and written here, and every JSON file is written by write_json.
-Every CSV file but the training log (pseudo ground truth, plot data) is
+Every CSV file (the training log, pseudo ground truth, plot data) is
 written by write_csv. Every reader checks what it reads and raises a
 one-line DataError naming the file and the field. The module imports no
 numpy, so ``wtal eval``, which reads these two files and a config, never
@@ -252,6 +252,12 @@ def write_manifest(directory, dataset):
 
 # ---------------------------------------------------------------------------
 # proposals JSON
+
+# The localization modes, in the order of `wtal localize --mode`'s
+# choices; numpy-free here, so that the CLI parser loads no numpy for
+# them. localization.MODES is this tuple.
+MODES = ("fused", "rgb", "flow")
+
 
 @dataclass
 class ActionProposal:

@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 
-# The proposals file format lives in formats. Its writer and reader are
-# also looked up here: cmd_localize calls save_proposals through this
-# module, and the benchmark's tracer wraps both at it.
-from .formats import (ActionProposal, load_proposals,  # noqa: F401
+# The proposals file format and MODES live in formats. The file's writer
+# and reader are also looked up here: cmd_localize calls save_proposals
+# through this module, and the benchmark's tracer wraps both at it.
+from .formats import (MODES, ActionProposal, load_proposals,  # noqa: F401
                       save_proposals)
 from .numkit import fuse_attention
 
@@ -90,11 +90,11 @@ def oic_score(start, end, weights):
 def localize(video_id, rgb_out, flow_out, config, beta, mode="fused"):
     """Turn two streams' forward outputs into scored proposals.
 
-    mode selects which attention/T-CAM/prediction drive localization:
-    "fused" (convex combination with beta), "rgb", or "flow"; a single
-    stream is the fusion with weight 1 or 0 on the rgb stream.
+    mode, one of MODES, selects which attention/T-CAM/prediction drive
+    localization: "fused" (convex combination with beta), "rgb" or
+    "flow"; a single stream is the fusion with weight 1 or 0 on rgb.
     """
-    weights = {"fused": beta, "rgb": 1.0, "flow": 0.0}
+    weights = dict(zip(MODES, (beta, 1.0, 0.0)))
     if mode not in weights:
         raise ValueError(f"unknown mode {mode!r}")
     attention, tcam, prediction = (

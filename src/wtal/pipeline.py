@@ -1,11 +1,12 @@
-"""Glue between trained models, localization, and evaluation; also the
-plot-data emission (per-video attention CSV + SVG)."""
+"""Glue between trained models, localization, and evaluation: the
+in-process experiment runner, and the plot-data emission (per-video
+attention CSV + SVG)."""
 
 import os
 
 import numpy as np
 
-from . import basemodel, evaluation, localization, parallel
+from . import basemodel, consensus, evaluation, localization, parallel
 from .consensus import STREAMS
 from .formats import write_csv
 from .numkit import fuse_attention
@@ -27,11 +28,31 @@ def localize_dataset(models, videos, loc_cfg, beta, mode="fused"):
     return proposals
 
 
-def evaluate_models(models, videos, loc_cfg, beta, thresholds, num_classes,
-                    mode="fused"):
-    proposals = localize_dataset(models, videos, loc_cfg, beta, mode=mode)
-    gts = evaluation.gt_from_videos(videos)
-    return evaluation.evaluate(proposals, gts, thresholds, num_classes)
+def run_experiment(dataset, sections, seed):
+    """Refinement training on the train split, then each iteration's
+    checkpoints scored on the test split in every localization.MODES
+    mode, in memory: no file is written. ``sections`` is what
+    config.resolved_config returns. Returns (RefinementResult, reports): reports[n][mode] is the
+    EvalReport that `wtal localize --mode` and `wtal eval` give from the
+    iteration-n checkpoints."""
+    result = consensus.run_refinement(dataset.train, sections["model"],
+                                      sections["loss"],
+                                      sections["refinement"], seed)
+    beta = sections["refinement"].beta
+    gts = evaluation.gt_from_videos(dataset.test)
+    reports = []
+    for snapshot in result.checkpoints:
+        proposals = {mode: [] for mode in localization.MODES}
+        for video in dataset.test:
+            outs = stream_outputs(snapshot, video)
+            for mode, found in proposals.items():
+                found.extend(localization.localize(
+                    video.id, outs["rgb"], outs["flow"],
+                    sections["localization"], beta, mode=mode))
+        reports.append({mode: evaluation.evaluate(
+            found, gts, sections["evaluation"].thresholds,
+            dataset.num_classes) for mode, found in proposals.items()})
+    return result, reports
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ from test_evaluation import gt, oracle_average_precision, prop
 from wtal import (basemodel, cli, consensus, evaluation, localization,
                   losses, numkit, pipeline, synthdata)
 from wtal.basemodel import StreamModel
-from wtal.config import (LocalizationConfig, LossConfig, ModelConfig,
-                         RefinementConfig)
+from wtal.config import LossConfig, ModelConfig, RunConfig, resolved_config
+from wtal.consensus import STREAMS
+from wtal.localization import MODES
 
 from test_basemodel import full_loss_and_grads
 
@@ -37,57 +38,37 @@ def report(capsys):
     return _report
 
 
-STREAMS = ("rgb", "flow")
-MODES = ("rgb", "flow", "fused")
+def experiment(seed, **sections):
+    """pipeline.run_experiment on the default generator's dataset of the
+    seed, with the config sections set as in a --config file."""
+    dataset = synthdata.generate(synthdata.GeneratorConfig(seed=seed))
+    sections = resolved_config(RunConfig(**sections), dataset, None)
+    return dataset, sections, *pipeline.run_experiment(dataset, sections,
+                                                       seed)
 
 
 @pytest.fixture(scope="module")
 def trend_runs():
     """Full refinement training on the default generator, 5 seeds, hard
-    and soft pseudo-GT variants; collects per-iteration test mAP@0.5 per
-    mode plus the RGB-stream F-measure before and after refinement."""
-    loc_cfg = LocalizationConfig()
-    data = {"hard": [], "soft": [], "rgb_f": [], "sample": None}
+    and soft pseudo-GT variants; per run, the per-iteration test reports
+    of every mode."""
+    data = {"hard": [], "soft": [], "sample": None}
     for seed in range(1, 6):
-        dataset = synthdata.generate(synthdata.GeneratorConfig(seed=seed))
-        model_cfg = ModelConfig(feature_dim=dataset.feature_dim,
-                                num_classes=dataset.num_classes)
-        gts = evaluation.gt_from_videos(dataset.test)
         for kind in ("hard", "soft"):
-            refine_cfg = RefinementConfig(kind=kind)
-            result = consensus.run_refinement(dataset.train, model_cfg,
-                                              LossConfig(), refine_cfg,
-                                              seed=seed)
-            rows = []
-            for snapshot in result.checkpoints:
-                rows.append({
-                    mode: pipeline.evaluate_models(
-                        snapshot, dataset.test, loc_cfg, refine_cfg.beta,
-                        [0.5],
-                        dataset.num_classes,
-                        mode=mode).map_at_threshold[0.5]
-                    for mode in MODES})
-            data[kind].append(rows)
-            if kind == "hard":
-                f_scores = []
-                for snapshot in (result.checkpoints[0],
-                                 result.checkpoints[-1]):
-                    proposals = pipeline.localize_dataset(
-                        snapshot, dataset.test, loc_cfg, refine_cfg.beta,
-                        mode="rgb")
-                    f_scores.append(evaluation.precision_recall_f(
-                        proposals, gts, 0.5)[2])
-                data["rgb_f"].append(tuple(f_scores))
-                if seed == 1:
-                    data["sample"] = (result, dataset, refine_cfg)
+            dataset, sections, result, reports = experiment(
+                seed, refinement={"kind": kind})
+            data[kind].append(reports)
+            if kind == "hard" and seed == 1:
+                data["sample"] = (result, dataset, sections["refinement"])
     return data
 
 
 def mode_means(runs):
-    """5-seed mean mAP@0.5, indexed [iteration][mode]."""
-    arr = np.array([[[row[m] for m in MODES] for row in rows]
-                    for rows in runs])
-    return arr.mean(axis=0)
+    """{mode: 5-seed mean mAP@0.5 per iteration}."""
+    return {mode: np.mean([[iteration[mode].map_at_threshold[0.5]
+                            for iteration in reports] for reports in runs],
+                          axis=0)
+            for mode in MODES}
 
 
 class TestGradientSuite:
@@ -217,15 +198,10 @@ class TestAttentionNormContract:
     def test_variance_increase_with_normalization_loss(self, report):
         variances = {0.0: [], 0.1: []}
         for seed in range(1, 6):
-            dataset = synthdata.generate(
-                synthdata.GeneratorConfig(seed=seed))
-            model_cfg = ModelConfig(feature_dim=dataset.feature_dim,
-                                    num_classes=dataset.num_classes)
-            refine_cfg = RefinementConfig(iterations=0, epochs_initial=30)
             for alpha in (0.0, 0.1):
-                result = consensus.run_refinement(
-                    dataset.train, model_cfg, LossConfig(alpha=alpha),
-                    refine_cfg, seed=seed)
+                dataset, _, result, _ = experiment(
+                    seed, loss={"alpha": alpha},
+                    refinement={"iterations": 0, "epochs_initial": 30})
                 per_video = [
                     basemodel.forward(result.models["rgb"],
                                       v.rgb).attention.var()
@@ -333,8 +309,7 @@ class TestOicContracts:
 
 class TestEndToEndTrend:
     def test_refinement_improves_fused_map(self, trend_runs, report):
-        means = mode_means(trend_runs["hard"])
-        fused = means[:, MODES.index("fused")]
+        fused = mode_means(trend_runs["hard"])["fused"]
         gain = fused[-1] - fused[0]
         report("end-to-end trend (a): fused mAP@0.5 gains at least 2 "
                "points from iteration 0 to the final iteration "
@@ -343,19 +318,16 @@ class TestEndToEndTrend:
 
     def test_fusion_beats_single_streams_every_iteration(self, trend_runs, report):
         means = mode_means(trend_runs["hard"])
-        fused = means[:, MODES.index("fused")]
-        best_single = means[:, :2].max(axis=1)
-        margins = fused - best_single
+        best_single = np.max([means[s] for s in STREAMS], axis=0)
+        margins = means["fused"] - best_single
         report("end-to-end trend (b): fused mAP@0.5 is at least each "
                "single stream's at every iteration (5-seed mean)",
                bool(np.all(margins >= 0.0)),
                "margins " + " ".join(f"{m:+.3f}" for m in margins))
 
     def test_hard_close_to_soft(self, trend_runs, report):
-        hard_final = mode_means(trend_runs["hard"])[-1,
-                                                    MODES.index("fused")]
-        soft_final = mode_means(trend_runs["soft"])[-1,
-                                                    MODES.index("fused")]
+        hard_final = mode_means(trend_runs["hard"])["fused"][-1]
+        soft_final = mode_means(trend_runs["soft"])["fused"][-1]
         report("end-to-end trend (c): final hard-variant mAP is within "
                "1 point of the soft variant or better (5-seed mean)",
                hard_final >= soft_final - 0.01,
@@ -367,22 +339,13 @@ class TestAttentionNormalizationGate:
         """Without the attention normalization term (alpha 0), refinement
         collapses onto all-foreground pseudo GT; the final fused mAP@0.5
         must fall below that of the default alpha on each of seeds 1-3.
-        The default runs are the hard-variant rows of trend_runs."""
-        refine_cfg = RefinementConfig()
+        The default runs are the hard-variant runs of trend_runs."""
         ok = True
         details = []
         for seed in (1, 2, 3):
-            dataset = synthdata.generate(synthdata.GeneratorConfig(seed=seed))
-            model_cfg = ModelConfig(feature_dim=dataset.feature_dim,
-                                    num_classes=dataset.num_classes)
-            result = consensus.run_refinement(dataset.train, model_cfg,
-                                              LossConfig(alpha=0.0),
-                                              refine_cfg, seed=seed)
-            off = pipeline.evaluate_models(
-                result.checkpoints[-1], dataset.test, LocalizationConfig(),
-                refine_cfg.beta, [0.5],
-                dataset.num_classes).map_at_threshold[0.5]
-            on = trend_runs["hard"][seed - 1][-1]["fused"]
+            *_, reports = experiment(seed, loss={"alpha": 0.0})
+            off, on = (runs[-1]["fused"].map_at_threshold[0.5]
+                       for runs in (reports, trend_runs["hard"][seed - 1]))
             ok &= off < on
             details.append(f"seed {seed}: {off:.3f} vs {on:.3f}")
         report("attention normalization gate: final fused mAP@0.5 with "
@@ -392,8 +355,9 @@ class TestAttentionNormalizationGate:
 
 class TestPrecisionTrend:
     def test_rgb_f_measure_improves(self, trend_runs, report):
-        first = float(np.mean([a for a, _ in trend_runs["rgb_f"]]))
-        final = float(np.mean([b for _, b in trend_runs["rgb_f"]]))
+        first, final = (float(np.mean([reports[i]["rgb"].f_measure
+                                       for reports in trend_runs["hard"]]))
+                        for i in (0, -1))
         report("precision trend: pseudo-GT refinement improves the RGB "
                "stream's F-measure at IoU 0.5 (5-seed mean)",
                final > first, f"{first:.3f} -> {final:.3f}")

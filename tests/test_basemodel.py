@@ -182,10 +182,9 @@ class TestBackward:
         rng = np.random.default_rng(9)
         fp = basemodel.forward(model, rng.normal(size=(5, 4)))
         buf = StreamModel(config=model.config, modality="rgb")
-        first = basemodel.backward(model, fp, d_attention=rng.normal(size=5),
-                                   out=buf)
-        second = basemodel.backward(model, fp, d_attention=rng.normal(size=5),
-                                    out=buf)
+        first, second = (basemodel.backward(
+            model, fp, d_attention=rng.normal(size=5),
+            d_prediction=rng.normal(size=3), out=buf) for _ in range(2))
         for key in first:
             assert second[key] is first[key] is buf.params[key]
 
@@ -194,7 +193,8 @@ class TestBackward:
         fp = basemodel.forward(model, np.ones((5, 4)))
         other = make_model(embed_dim=5)
         with pytest.raises(ShapeError, match="does not match"):
-            basemodel.backward(model, fp, d_attention=np.ones(5), out=other)
+            basemodel.backward(model, fp, d_attention=np.ones(5),
+                               d_prediction=np.ones(3), out=other)
 
 
 class TestCheckpoint:

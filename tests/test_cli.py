@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import shutil
 import struct
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 from wtal import basemodel, cli, evaluation, formats, pipeline, synthdata
 from wtal.config import (SECTIONS, EvaluationConfig, LocalizationConfig,
                          ModelConfig, RefinementConfig, _settable,
-                         load_run_config)
+                         load_run_config, resolved_config)
 from wtal.consensus import STREAMS, fuse_attention
+from wtal.localization import MODES
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +358,8 @@ class TestTrain:
          ["'evaluation'", "'thresholds'"]),
         ({"evaluation": {"thresholds": [0.5, 0.5]}},
          ["'evaluation'", "thresholds"]),
+        ({"evaluation": {"thresholds": [0.5, 0.5000001]}},
+         ["'evaluation'", "thresholds", "'0.5'"]),
         ({"generator": {}}, ["'generator'"]),
         ([1], ["[1]"]),
         ({"model": {"embed_dim": 0}}, ["'model'", "embed_dim"]),
@@ -366,14 +370,19 @@ class TestTrain:
         ({"refinement": {"learning_rate": -1}},
          ["'refinement'", "learning_rate"]),
         ({"localization": {"top_k": 0}}, ["'localization'", "top_k"]),
+        ({"localization": {"class_score_floor": 2.0}},
+         ["'localization'", "class_score_floor"]),
+        ({"localization": {"class_score_floor": -0.1}},
+         ["'localization'", "class_score_floor"]),
         ({"refinement": {"beta": 1.5}}, ["'refinement'", "beta"]),
     ], ids=["model-not-object", "beta-string", "iterations-float",
             "upsample-float", "s-float", "seed-string", "seed-negative",
             "evaluation-typo",
             "thresholds-scalar", "threshold-above-1", "threshold-string",
-            "threshold-repeated", "generator-section", "top-level-list",
-            "embed-dim-0", "epochs-0", "smoothing-negative",
-            "learning-rate-negative", "top-k-0", "beta-above-1"])
+            "threshold-repeated", "threshold-same-key", "generator-section",
+            "top-level-list", "embed-dim-0", "epochs-0",
+            "smoothing-negative", "learning-rate-negative", "top-k-0",
+            "floor-above-1", "floor-negative", "beta-above-1"])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_bad_config_is_one_line_data_error(self, workspace, tmp_path,
                                                capsys, command, config,
@@ -769,6 +778,34 @@ def plot(workspace, out, *extra, split="train"):
                      "--split", split, "--out", str(out), *extra])
 
 
+class TestExperimentRunner:
+    def test_reports_are_the_cli_reports(self, workspace, tmp_path):
+        """Per iteration and mode, pipeline.run_experiment's report is the
+        one `wtal localize` and `eval` give from that iteration's
+        checkpoints; a second run with the seed gives equal reports."""
+        config, data = (str(workspace[key]) for key in ("config", "data"))
+        run_dir = workspace["run"]
+        dataset = synthdata.load(data)
+        sections = resolved_config(load_run_config(config), dataset, config)
+        _, reports = pipeline.run_experiment(dataset, sections, 5)
+        assert len(reports) == 2
+        for n, mode in itertools.product(range(2), MODES):
+            checkpoints = [f"--checkpoint-{s}={run_dir / f'iter{n}_{s}.ckpt'}"
+                           for s in STREAMS]
+            assert cli.main(["localize", *checkpoints, "--mode", mode,
+                             "--config", config, "--dataset", data,
+                             "--out", str(tmp_path / "p.json")]) == 0
+            assert cli.main(["eval", "--proposals", str(tmp_path / "p.json"),
+                             "--config", config, "--dataset", data,
+                             "--out", str(tmp_path / "cli")]) == 0
+            evaluation.save_report(tmp_path / "runner.json",
+                                   tmp_path / "runner.txt", reports[n][mode])
+            for ext in ("json", "txt"):
+                assert (tmp_path / f"runner.{ext}").read_bytes() == \
+                    (tmp_path / f"cli.{ext}").read_bytes()
+        assert pipeline.run_experiment(dataset, sections, 5)[1] == reports
+
+
 class TestPlot:
     def test_plot_bundle(self, workspace, tmp_path):
         run_dir = workspace["run"]
@@ -1014,10 +1051,12 @@ class TestEvalLoadsNoNumpy:
         models = {s: basemodel.load_checkpoint(
             workspace["run"] / f"iter1_{s}.ckpt")[0] for s in STREAMS}
         dataset = synthdata.load(workspace["data"], split="test")
-        report = pipeline.evaluate_models(
-            models, dataset.test, LocalizationConfig(),
-            RefinementConfig().beta, EvaluationConfig().thresholds,
-            dataset.num_classes)
+        report = evaluation.evaluate(
+            pipeline.localize_dataset(models, dataset.test,
+                                      LocalizationConfig(),
+                                      RefinementConfig().beta),
+            evaluation.gt_from_videos(dataset.test),
+            EvaluationConfig().thresholds, dataset.num_classes)
         numeric = tmp_path / "numeric"
         evaluation.save_report(f"{numeric}.json", f"{numeric}.txt", report)
         assert run.stdout == report.to_text()

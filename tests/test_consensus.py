@@ -1,4 +1,5 @@
 import csv
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from wtal import consensus, synthdata
 from wtal.config import LossConfig, ModelConfig, RefinementConfig
-from wtal.consensus import (compute_pseudo_gt, fuse_attention,
+from wtal.consensus import (LogRow, compute_pseudo_gt, fuse_attention,
                             load_pseudo_gt, make_pseudo_gt, max_pool_smooth,
                             run_refinement, save_pseudo_gt)
 
@@ -193,6 +194,22 @@ class TestPseudoGtCsv:
         path.write_text("")
         with pytest.raises(synthdata.DataError, match="missing column"):
             load_pseudo_gt(path, 1)
+
+
+class TestTrainingLog:
+    @pytest.mark.parametrize("rows", [
+        [], [LogRow(0, 0, "rgb", 0.1 + 0.2, -0.5, None, 1e-17),
+             LogRow(1, 12, "flow", 5e-324, -0.0, 0.25, float("nan"))]],
+        ids=["no-rows", "rows"])
+    def test_bytes_match_csv_writer(self, tmp_path, rows):
+        consensus.save_training_log(tmp_path / "new.csv", rows)
+        with open(tmp_path / "ref.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f.name for f in fields(LogRow)])
+            writer.writerows(astuple(row) for row in rows)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
 
 
 class TestRefinementConfig:
