@@ -75,6 +75,9 @@ def cmd_train(args):
                                         "output_dir": args.out,
                                         "seed": args.seed})
     dataset = synthdata.load(cfg.dataset, split="train")
+    if not dataset.train:
+        raise DataError(f"{os.path.join(cfg.dataset, 'manifest.json')}: no "
+                        "train video")
     sections = resolved_config(cfg, dataset, args.config)
     refine_cfg = sections["refinement"]
     os.makedirs(cfg.output_dir, exist_ok=True)

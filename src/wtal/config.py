@@ -104,11 +104,13 @@ class EvaluationConfig:
             raise ValueError("thresholds must not be empty")
         if not all(0.0 < t <= 1.0 for t in self.thresholds):
             raise ValueError("thresholds must lie in (0, 1]")
-        # the report keys mAP by f"{t:g}" but averages over the list
-        keys = [f"{t:g}" for t in self.thresholds]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"thresholds {list(self.thresholds)} must "
-                             f"have distinct report keys, not {keys}")
+        # report.txt labels each threshold f"{t:.2f}" and report.json
+        # keys it f"{t:g}"; for distinct multiples of 0.01 both name each
+        # one exactly
+        if (len(set(self.thresholds)) != len(self.thresholds)
+                or any(float(f"{t:.2f}") != t for t in self.thresholds)):
+            raise ValueError(f"thresholds {list(self.thresholds)} must be "
+                             "distinct multiples of 0.01")
 
 
 @dataclass

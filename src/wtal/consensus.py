@@ -196,19 +196,17 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
                            rng_state=rng.bit_generator.state)
 
 
-def run_refinement(train_videos, model_cfg, loss_cfg, refine_cfg, seed,
-                   workers=None):
+def run_refinement(train_videos, model_cfg, loss_cfg, refine_cfg, seed):
     """Full iterative refinement over both streams.
 
     Model parameters warm-start across iterations; the Adam state resets
     at every iteration boundary. Pseudo GT for iteration n+1 comes from
     the lowest-loss checkpoints of iteration n.
 
-    Within an iteration the streams train in up to ``workers`` processes
-    (``parallel.fork_map``), one per stream at most; nothing returned
-    depends on their number. By default that is the CPUs in this
-    process's affinity mask for an iteration of at least FORK_MIN_WORK
-    snippet-epochs per stream, else one.
+    An iteration of at least FORK_MIN_WORK snippet-epochs per stream
+    trains the streams in one process each, up to the CPUs in this
+    process's affinity mask (``parallel.fork_map``); a smaller one trains
+    them in this process. Nothing returned depends on their number.
     """
     if not train_videos:
         raise ValueError("empty training set")
@@ -227,8 +225,8 @@ def run_refinement(train_videos, model_cfg, loss_cfg, refine_cfg, seed,
     for iteration in range(refine_cfg.iterations + 1):
         epochs = (refine_cfg.epochs_initial if iteration == 0
                   else refine_cfg.epochs_refine)
-        processes = workers or (parallel.cpus()
-                                if epochs * snippets >= FORK_MIN_WORK else 1)
+        processes = (parallel.cpus() if epochs * snippets >= FORK_MIN_WORK
+                     else 1)
         trained = parallel.fork_map(
             lambda s: _train_one_iteration(
                 models[s], train_videos, pseudo, iteration, epochs,

@@ -32,9 +32,9 @@ def run_experiment(dataset, sections, seed):
     """Refinement training on the train split, then each iteration's
     checkpoints scored on the test split in every localization.MODES
     mode, in memory: no file is written. ``sections`` is what
-    config.resolved_config returns. Returns (RefinementResult, reports): reports[n][mode] is the
-    EvalReport that `wtal localize --mode` and `wtal eval` give from the
-    iteration-n checkpoints."""
+    config.resolved_config returns. Returns (RefinementResult, reports):
+    reports[n][mode] is the EvalReport that `wtal localize --mode` and
+    `wtal eval` give from the iteration-n checkpoints."""
     result = consensus.run_refinement(dataset.train, sections["model"],
                                       sections["loss"],
                                       sections["refinement"], seed)
@@ -42,16 +42,11 @@ def run_experiment(dataset, sections, seed):
     gts = evaluation.gt_from_videos(dataset.test)
     reports = []
     for snapshot in result.checkpoints:
-        proposals = {mode: [] for mode in localization.MODES}
-        for video in dataset.test:
-            outs = stream_outputs(snapshot, video)
-            for mode, found in proposals.items():
-                found.extend(localization.localize(
-                    video.id, outs["rgb"], outs["flow"],
-                    sections["localization"], beta, mode=mode))
         reports.append({mode: evaluation.evaluate(
-            found, gts, sections["evaluation"].thresholds,
-            dataset.num_classes) for mode, found in proposals.items()})
+            localize_dataset(snapshot, dataset.test,
+                             sections["localization"], beta, mode),
+            gts, sections["evaluation"].thresholds, dataset.num_classes)
+            for mode in localization.MODES})
     return result, reports
 
 
@@ -207,12 +202,11 @@ def _plot_video(out_dir, models, video, loc_cfg, beta, pseudo):
 
 
 def write_plot_bundle(out_dir, models, videos, loc_cfg, beta,
-                      pseudo_by_video=None, workers=None):
+                      pseudo_by_video=None):
     """Write each video's attention CSV and SVG into ``out_dir``.
 
-    The videos are dealt over ``workers`` processes, by default the CPUs
-    in this process's affinity mask, by ``parallel.fork_map``; no file
-    and no error depends on their number.
+    The videos are dealt over the CPUs in this process's affinity mask by
+    ``parallel.fork_map``; no file and no error depends on their number.
     """
     os.makedirs(out_dir, exist_ok=True)
     pseudo_by_video = pseudo_by_video or {}
@@ -222,5 +216,5 @@ def write_plot_bundle(out_dir, models, videos, loc_cfg, beta,
                     pseudo_by_video.get(video.id))
 
     parallel.fork_map(
-        plot, videos, workers or parallel.cpus(),
+        plot, videos, parallel.cpus(),
         lambda first: f"{out_dir}: the plot worker for video index {first}")

@@ -24,6 +24,14 @@ import numpy as np
 from .formats import (DataError, Dataset, feature_files, read_manifest,
                       write_manifest)
 
+# A planted action adds SIGNAL_AMPLITUDE times its class's unit direction
+# to a modality. Background is Gaussian noise of standard deviation
+# RGB_NOISE or FLOW_NOISE, box-filtered over NOISE_SMOOTHING (odd) snippets.
+SIGNAL_AMPLITUDE = 3.0
+RGB_NOISE = 0.8
+FLOW_NOISE = 0.4
+NOISE_SMOOTHING = 3
+
 
 @dataclass
 class GeneratorConfig:
@@ -35,29 +43,25 @@ class GeneratorConfig:
     actions_per_video: tuple = (1, 3)
     action_length: tuple = (8, 16)
     max_categories_per_video: int = 2
-    signal_amplitude: float = 3.0
-    rgb_noise: float = 0.8
-    flow_noise: float = 0.4
-    noise_smoothing: int = 3   # odd box width; temporal noise correlation
     rgb_false_positive_rate: float = 0.5
     flow_miss_rate: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 2 or self.feature_dim < 2:
-            raise DataError("need num_classes >= 2 and feature_dim >= 2")
-        for lo, hi in (self.t_range, self.actions_per_video,
-                       self.action_length):
+        for name, low in (("num_train", 1), ("num_test", 0),
+                          ("num_classes", 2), ("feature_dim", 2)):
+            if (value := getattr(self, name)) < low:
+                raise DataError(f"field {name!r} is {value}, expected an "
+                                f"integer >= {low}")
+        for name in ("t_range", "actions_per_video", "action_length"):
+            lo, hi = getattr(self, name)
             if lo > hi or lo < 1:
-                raise DataError("ranges must be nonempty and positive")
+                raise DataError(f"field {name!r} is {(lo, hi)}, expected "
+                                "(low, high) with 1 <= low <= high")
         for name in ("rgb_false_positive_rate", "flow_miss_rate"):
             if not 0.0 <= (rate := getattr(self, name)) <= 1.0:
                 raise DataError(f"field {name!r} must lie in [0, 1], got "
                                 f"{rate}")
-        if self.num_train < 1 or self.num_test < 0:
-            raise DataError("need at least one training video")
-        if self.noise_smoothing < 1 or self.noise_smoothing % 2 == 0:
-            raise DataError("noise_smoothing must be odd and positive")
 
 
 @dataclass
@@ -97,14 +101,14 @@ def _place_segments(rng, t, lengths, occupied, gap=2, attempts=50):
     return placed
 
 
-def _smooth_noise(rng, shape, sigma, window):
-    """Gaussian noise with a temporal box filter; variance is rescaled so
-    the per-snippet marginal stays at sigma^2. Snippets in real feature
-    sequences are temporally correlated, which keeps the attention of a
-    trained model from flickering inside a segment."""
+def _smooth_noise(rng, shape, sigma):
+    """Gaussian noise with a temporal box filter of NOISE_SMOOTHING
+    snippets; variance is rescaled so the per-snippet marginal stays at
+    sigma^2. Snippets in real feature sequences are temporally correlated,
+    which keeps the attention of a trained model from flickering inside a
+    segment."""
     noise = rng.normal(0.0, sigma, size=shape)
-    if window <= 1:
-        return noise
+    window = NOISE_SMOOTHING
     t = shape[0]
     half = window // 2
     padded = np.concatenate([noise[:half][::-1], noise,
@@ -147,18 +151,15 @@ def generate(config):
             length = min(lengths[0], t)
             segments = [(1, length, action_cats[0] + 1)]
 
-        rgb = _smooth_noise(rng, (t, d), config.rgb_noise,
-                            config.noise_smoothing)
-        flow = _smooth_noise(rng, (t, d), config.flow_noise,
-                             config.noise_smoothing)
+        rgb = _smooth_noise(rng, (t, d), RGB_NOISE)
+        flow = _smooth_noise(rng, (t, d), FLOW_NOISE)
         suppressed = []
         for start, end, cat in segments:
-            rgb[start - 1:end] += config.signal_amplitude * rgb_dirs[cat - 1]
+            rgb[start - 1:end] += SIGNAL_AMPLITUDE * rgb_dirs[cat - 1]
             if rng.random() < config.flow_miss_rate:
                 suppressed.append((start, end, cat))
             else:
-                flow[start - 1:end] += (config.signal_amplitude
-                                        * flow_dirs[cat - 1])
+                flow[start - 1:end] += SIGNAL_AMPLITUDE * flow_dirs[cat - 1]
 
         confounders = []
         if rng.random() < config.rgb_false_positive_rate:
@@ -169,7 +170,7 @@ def generate(config):
             if spans:
                 cat = int(rng.integers(0, c)) + 1
                 s0, e0 = spans[0]
-                rgb[s0 - 1:e0] += config.signal_amplitude * rgb_dirs[cat - 1]
+                rgb[s0 - 1:e0] += SIGNAL_AMPLITUDE * rgb_dirs[cat - 1]
                 confounders.append((s0, e0, cat))
 
         label = np.zeros(c)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import wtal
+from wtal import consensus
 
 
 def _assert_no_child_left():
@@ -47,3 +48,21 @@ def python_env():
 @pytest.fixture
 def python_with_src():
     return _python_with_src
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """A function that gives this process n CPUs, as if its affinity mask
+    (os.sched_getaffinity) held n, and lets training fork at any size
+    (consensus.FORK_MIN_WORK 0): ``wtal train`` then runs in min(n, 2)
+    processes and ``wtal plot`` in min(n, videos). It returns the source
+    that does the same at the start of a script for a fresh interpreter."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+        monkeypatch.setattr(consensus, "FORK_MIN_WORK", 0)
+        return ("import os\n"
+                "from wtal import consensus\n"
+                f"os.sched_getaffinity = lambda pid: set(range({n}))\n"
+                "consensus.FORK_MIN_WORK = 0\n")
+    return set_cpus

@@ -236,6 +236,14 @@ class TestGenData:
             "error: field 'flow_miss_rate' must lie in [0, 1], got 1.5\n")
         assert not out.exists()
 
+    def test_negative_test_videos_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert cli.main(["gen-data", "--test-videos", "-1",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: field 'num_test' is -1, expected an integer >= 0\n")
+        assert not out.exists()
+
     def test_out_of_memory_is_data_error(self, tmp_path, capsys):
         # 10^15 classes ask for PiB, which fails without allocating
         assert cli.main(["gen-data", "--classes", "1000000000000000",
@@ -312,6 +320,21 @@ class TestTrain:
             "got -1\n")
         assert not out.exists()
 
+    def test_no_train_video_names_the_manifest(self, workspace, tmp_path,
+                                               capsys):
+        data = tmp_path / "data"
+        synthdata.save(synthdata.load(workspace["data"]), data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["videos"] = [entry for entry in manifest["videos"]
+                              if entry["split"] == "test"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "r"
+        assert cli.main(["train", "--dataset", str(data),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data / 'manifest.json'}: no train video\n")
+        assert not out.exists()
+
     def test_missing_dataset_is_data_error(self, tmp_path, capsys):
         assert cli.main(["train", "--dataset", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "r"), "--seed", "0"]) == 2
@@ -359,7 +382,11 @@ class TestTrain:
         ({"evaluation": {"thresholds": [0.5, 0.5]}},
          ["'evaluation'", "thresholds"]),
         ({"evaluation": {"thresholds": [0.5, 0.5000001]}},
-         ["'evaluation'", "thresholds", "'0.5'"]),
+         ["'evaluation'", "[0.5, 0.5000001]", "distinct multiples of 0.01"]),
+        ({"evaluation": {"thresholds": [0.555]}},
+         ["'evaluation'", "[0.555]", "distinct multiples of 0.01"]),
+        ({"evaluation": {"thresholds": [0.55, 0.551]}},
+         ["'evaluation'", "[0.55, 0.551]", "distinct multiples of 0.01"]),
         ({"generator": {}}, ["'generator'"]),
         ([1], ["[1]"]),
         ({"model": {"embed_dim": 0}}, ["'model'", "embed_dim"]),
@@ -379,7 +406,9 @@ class TestTrain:
             "upsample-float", "s-float", "seed-string", "seed-negative",
             "evaluation-typo",
             "thresholds-scalar", "threshold-above-1", "threshold-string",
-            "threshold-repeated", "threshold-same-key", "generator-section",
+            "threshold-repeated", "threshold-same-key",
+            "threshold-thousandths", "threshold-same-label",
+            "generator-section",
             "top-level-list", "embed-dim-0", "epochs-0",
             "smoothing-negative", "learning-rate-negative", "top-k-0",
             "floor-above-1", "floor-negative", "beta-above-1"])

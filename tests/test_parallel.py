@@ -104,7 +104,7 @@ def test_numeric_error_survives_pickling():
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     """A saved dataset small enough that training falls below the fork
-    threshold, so only a forced worker count forks."""
+    threshold, so only set_cpus makes it fork."""
     root = tmp_path_factory.mktemp("stream_workers")
     synthdata.save(synthdata.generate(synthdata.GeneratorConfig(
         num_train=5, num_test=2, num_classes=3, feature_dim=8,
@@ -135,14 +135,11 @@ def run_files(out):
 
 
 
-def force_workers(monkeypatch, workers, results=None):
-    """Make cli's training run with ``workers`` processes, appending each
-    RefinementResult to ``results``."""
+def record_results(monkeypatch, results):
+    """Make cli's training append each RefinementResult to ``results``."""
     def run(*args):
-        result = run_refinement(*args, workers=workers)
-        if results is not None:
-            results.append(result)
-        return result
+        results.append(run_refinement(*args))
+        return results[-1]
 
     monkeypatch.setattr(consensus, "run_refinement", run)
 
@@ -151,12 +148,14 @@ class TestStreamWorkers:
     @pytest.mark.parametrize("kind", ["hard", "soft"])
     def test_artifacts_do_not_depend_on_workers(self, data_dir, tmp_path,
                                                 monkeypatch, forks, kind,
+                                                set_cpus,
                                                 assert_no_child_left):
         config = write_config(tmp_path / "config.json", kind)
         files, results = {}, []
+        record_results(monkeypatch, results)
         for workers in (1, 2):
             forks.clear()
-            force_workers(monkeypatch, workers, results)
+            set_cpus(workers)
             out = tmp_path / f"workers-{workers}"
             assert cli.main(train_argv(data_dir, out, config)) == 0
             assert_no_child_left()
@@ -173,17 +172,16 @@ class TestStreamWorkers:
         assert forked.checkpoint_meta == serial.checkpoint_meta
 
     def test_forks_safely_with_blas_threads_live(self, data_dir, tmp_path,
-                                                 monkeypatch, capsys,
-                                                 python_env):
+                                                 capsys, python_env,
+                                                 set_cpus):
         """``wtal train`` in a fresh interpreter whose BLAS may start its
         own threads, and whose stdout is a block-buffered pipe. A worker
         that wrote out the inherited buffer, returned into the caller or
         ran the interpreter's exit handlers would add a line."""
         config = write_config(tmp_path / "config.json", "hard")
-        script = ("import atexit, functools, sys\n"
-                  "from wtal import cli, consensus\n"
-                  "consensus.run_refinement = functools.partial(\n"
-                  "    consensus.run_refinement, workers=2)\n"
+        script = (set_cpus(2) +
+                  "import atexit, sys\n"
+                  "from wtal import cli\n"
                   "print('before')\n"
                   "atexit.register(print, 'at exit')\n"
                   "sys.exit(cli.main(sys.argv[1:]))\n")
@@ -198,7 +196,7 @@ class TestStreamWorkers:
         assert proc.stdout.splitlines() == [
             "before", "trained 3 iterations, wrote 6 checkpoints and "
             f"training_log.csv -> {out}", "at exit"]
-        force_workers(monkeypatch, 1)
+        set_cpus(1)
         assert cli.main(train_argv(data_dir, tmp_path / "serial",
                                    config)) == 0
         capsys.readouterr()
@@ -206,14 +204,15 @@ class TestStreamWorkers:
 
     def test_numeric_failure_in_the_worker_is_the_serial_one(self, data_dir,
                                                              tmp_path,
-                                                             python_env):
+                                                             python_env,
+                                                             set_cpus):
         """A non-finite flow loss, met in the worker, ends the run as the
         serial run ends: one stderr line, exit 3, no worker left."""
         config = write_config(tmp_path / "config.json", "hard")
         script = (
-            "import functools, os, sys\n"
+            "import os, sys\n"
             "import numpy as np\n"
-            "from wtal import basemodel, cli, consensus\n"
+            "from wtal import basemodel, cli\n"
             "real = basemodel.forward\n"
             "def forward(model, features):\n"
             "    fp = real(model, features)\n"
@@ -221,9 +220,7 @@ class TestStreamWorkers:
             "        fp.video_prediction[...] = np.nan\n"
             "    return fp\n"
             "basemodel.forward = forward\n"
-            "consensus.run_refinement = functools.partial(\n"
-            "    consensus.run_refinement, workers=int(sys.argv[1]))\n"
-            "code = cli.main(sys.argv[2:])\n"
+            "code = cli.main(sys.argv[1:])\n"
             "try:\n"
             "    os.waitpid(-1, os.WNOHANG)\n"
             "    print('a worker was left', file=sys.stderr)\n"
@@ -231,7 +228,7 @@ class TestStreamWorkers:
             "    pass\n"
             "sys.exit(code)\n")
         runs = [subprocess.run(
-            [sys.executable, "-c", script, str(workers),
+            [sys.executable, "-c", set_cpus(workers) + script,
              *train_argv(data_dir, tmp_path / f"w{workers}", config)],
             env=python_env(), capture_output=True, text=True, timeout=120)
             for workers in (1, 2)]
@@ -244,7 +241,7 @@ class TestStreamWorkers:
                                  "stream=flow iteration=0 epoch=0 video=")
 
     def test_worker_ending_without_report_is_data_error(
-            self, data_dir, tmp_path, monkeypatch, capsys,
+            self, data_dir, tmp_path, monkeypatch, capsys, set_cpus,
             assert_no_child_left):
         parent = os.getpid()
         real = basemodel.forward
@@ -255,7 +252,7 @@ class TestStreamWorkers:
             return real(model, features)
 
         monkeypatch.setattr(basemodel, "forward", forward)
-        force_workers(monkeypatch, 2)
+        set_cpus(2)
         config = write_config(tmp_path / "config.json", "hard")
         assert cli.main(train_argv(data_dir, tmp_path / "run", config)) == 2
         assert_no_child_left()
@@ -265,17 +262,17 @@ class TestStreamWorkers:
 
     @pytest.mark.parametrize("cpus, forked", [({0}, 0), ({0, 1}, 3),
                                               ({0, 1, 2, 3}, 3)])
-    def test_default_uses_up_to_two_cpus(self, data_dir, tmp_path,
-                                         monkeypatch, forks, cpus, forked,
+    def test_default_uses_up_to_two_cpus(self, data_dir, tmp_path, forks,
+                                         cpus, forked, set_cpus,
                                          assert_no_child_left):
-        monkeypatch.setattr(consensus, "FORK_MIN_WORK", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        set_cpus(len(cpus))
         config = write_config(tmp_path / "config.json", "hard")
         assert cli.main(train_argv(data_dir, tmp_path / "run", config)) == 0
         assert_no_child_left()
         assert len(forks) == forked
 
-    def test_forks_only_above_the_threshold(self, monkeypatch, forks):
+    def test_forks_only_above_the_threshold(self, monkeypatch, forks,
+                                            set_cpus):
         """An iteration forks when epochs x the train videos' snippets
         reach FORK_MIN_WORK."""
         videos = synthdata.generate(synthdata.GeneratorConfig(
@@ -283,8 +280,8 @@ class TestStreamWorkers:
             t_range=(15, 25), seed=2)).train
         snippets = sum(v.num_snippets for v in videos)
         # iteration 0 has 3 epochs, iterations 1 and 2 have 2
+        set_cpus(2)
         monkeypatch.setattr(consensus, "FORK_MIN_WORK", 3 * snippets)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         run = functools.partial(
             run_refinement, videos,
             ModelConfig(feature_dim=8, num_classes=3), LossConfig(),

@@ -4,7 +4,6 @@ wrote before; and the plot bundle's worker processes, whose number
 changes no file and no error."""
 
 import csv
-import functools
 import json
 import os
 import shutil
@@ -17,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtal import basemodel, cli, consensus, localization, pipeline, synthdata
+from wtal import (basemodel, cli, consensus, localization, parallel,
+                  pipeline, synthdata)
 from wtal.config import (LocalizationConfig, LossConfig, ModelConfig,
                          RefinementConfig)
 from wtal.formats import ActionProposal, DataError, Dataset
@@ -306,18 +306,18 @@ def mixed(tmp_path_factory):
 class TestPlotWorkers:
     @pytest.mark.parametrize("case", ["gt", "hard", "soft", "single"])
     def test_files_do_not_depend_on_workers(self, trained, tmp_path, case,
-                                            assert_no_child_left):
+                                            set_cpus, assert_no_child_left):
         dataset = trained["dataset"]
         videos = dataset.train if case in ("hard", "soft") else dataset.test
         videos = videos[:1] if case == "single" else videos
         pseudo = trained["pseudo"].get(case)
         files = {}
-        for workers in (1, 2, 3, len(videos) + 2, None):
+        for workers in (1, 2, 3, len(videos) + 2, parallel.cpus()):
+            set_cpus(workers)
             out = tmp_path / f"workers-{workers}"
             pipeline.write_plot_bundle(out, trained["models"], videos,
                                        LocalizationConfig(), trained["beta"],
-                                       pseudo_by_video=pseudo,
-                                       workers=workers)
+                                       pseudo_by_video=pseudo)
             assert_no_child_left()
             files[workers] = files_of(out)
         assert len(files[1]) == 2 * len(videos)
@@ -332,14 +332,14 @@ class TestPlotWorkers:
             assert found == files[1], workers
 
     def test_mixed_lengths_and_factors_in_one_process(
-            self, trained, mixed, tmp_path, monkeypatch, capsys,
+            self, trained, mixed, tmp_path, capsys, set_cpus,
             assert_no_child_left):
         """Videos of T 57, 1, 320 and 57 at factors 8, 1 and 3, one after
         the other in this process and its workers, by write_plot_bundle
         and by ``wtal plot``: every file is the reference writers'."""
         models, beta = trained["models"], trained["beta"]
         videos = mixed["dataset"].test
-        real = pipeline.write_plot_bundle
+        all_cpus = parallel.cpus()
         for factor in (8, 1, 3):
             loc_cfg = LocalizationConfig(upsample_factor=factor)
             ref = tmp_path / f"ref-{factor}"
@@ -348,16 +348,17 @@ class TestPlotWorkers:
                 reference_plot(ref, models, video, loc_cfg, beta)
             expected = files_of(ref)
             for workers in (1, 2, 3):
+                set_cpus(workers)
                 out = tmp_path / f"bundle-{factor}-{workers}"
-                real(out, models, videos, loc_cfg, beta, workers=workers)
+                pipeline.write_plot_bundle(out, models, videos, loc_cfg,
+                                           beta)
                 assert_no_child_left()
                 assert files_of(out) == expected, (factor, workers)
             config = tmp_path / f"config-{factor}.json"
             config.write_text(json.dumps(
                 {"localization": {"upsample_factor": factor}}))
-            for workers in (1, None):
-                monkeypatch.setattr(pipeline, "write_plot_bundle",
-                                    functools.partial(real, workers=workers))
+            for workers in (1, all_cpus):
+                set_cpus(workers)
                 out = tmp_path / f"cli-{factor}-{workers}"
                 argv = plot_argv(trained, out)
                 argv[argv.index("--dataset") + 1] = str(mixed["root"] / "data")
@@ -370,17 +371,15 @@ class TestPlotWorkers:
     # 1, 3; 3 workers give the parent 0, 3 and the children 1, 4 and 2
     @pytest.mark.parametrize("bad", [(1,), (2,), (0, 3), (1, 2), (3, 4)])
     def test_failure_is_the_serial_one(self, trained, tmp_path, capsys,
-                                       monkeypatch, bad, assert_no_child_left):
+                                       set_cpus, bad, assert_no_child_left):
         videos = trained["dataset"].test
         out = tmp_path / "plots"
-        real = pipeline.write_plot_bundle
         results = []
         for workers in (1, 2, 3):
             shutil.rmtree(out, ignore_errors=True)
             for index in bad:
                 (out / f"{videos[index].id}.csv").mkdir(parents=True)
-            monkeypatch.setattr(pipeline, "write_plot_bundle",
-                                functools.partial(real, workers=workers))
+            set_cpus(workers)
             code = cli.main(plot_argv(trained, out))
             assert_no_child_left()
             captured = capsys.readouterr()
@@ -394,7 +393,7 @@ class TestPlotWorkers:
     @pytest.mark.parametrize("death", ["signal", "exit"])
     def test_child_ending_without_report_is_data_error(self, trained,
                                                        tmp_path, monkeypatch,
-                                                       death,
+                                                       death, set_cpus,
                                                        assert_no_child_left):
         parent = os.getpid()
         real = pipeline._plot_video
@@ -407,12 +406,12 @@ class TestPlotWorkers:
             real(*args)
 
         monkeypatch.setattr(pipeline, "_plot_video", plot_video)
+        set_cpus(3)
         out = tmp_path / "plots"
         with pytest.raises(DataError) as info:
             pipeline.write_plot_bundle(out, trained["models"],
                                        trained["dataset"].test,
-                                       LocalizationConfig(), trained["beta"],
-                                       workers=3)
+                                       LocalizationConfig(), trained["beta"])
         assert_no_child_left()
         message = str(info.value)
         assert "\n" not in message
@@ -420,8 +419,8 @@ class TestPlotWorkers:
                                   "index 1 ended with ")
 
     def test_forks_safely_with_blas_threads_live(self, trained, tmp_path,
-                                                 monkeypatch, capsys,
-                                                 python_env):
+                                                 capsys, python_env,
+                                                 set_cpus):
         """``wtal plot`` in a fresh interpreter whose BLAS may start its
         own threads, and whose stdout is a block-buffered pipe. A child
         that wrote out the inherited buffer, returned into the caller or
@@ -440,8 +439,7 @@ class TestPlotWorkers:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines() == [
             "before", f"wrote plot data for 5 videos -> {out}", "at exit"]
-        monkeypatch.setattr(pipeline, "write_plot_bundle", functools.partial(
-            pipeline.write_plot_bundle, workers=1))
+        set_cpus(1)
         assert cli.main(plot_argv(trained, tmp_path / "serial")) == 0
         capsys.readouterr()
         assert files_of(out) == files_of(tmp_path / "serial")

@@ -116,14 +116,17 @@ class TestGenerate:
             assert sorted(v.suppressed) == sorted(v.gt_segments)
 
     def test_invalid_configs(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^field 'num_classes' is 1, "):
             small_config(num_classes=1)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^field 'feature_dim' is 1, "):
+            small_config(feature_dim=1)
+        with pytest.raises(DataError,
+                           match=r"^field 't_range' is \(30, 20\), "):
             small_config(t_range=(30, 20))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^field 'flow_miss_rate' "):
             small_config(flow_miss_rate=1.5)
-        with pytest.raises(DataError):
-            small_config(noise_smoothing=2)
+        with pytest.raises(DataError, match="^field 'num_test' is -1, "):
+            small_config(num_test=-1)
 
 
 class TestSaveLoad:
