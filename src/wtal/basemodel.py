@@ -15,9 +15,12 @@ import numpy as np
 from . import numkit
 from .config import ModelConfig, check_fields
 from .formats import DataError, unique_keys
-from .numkit import ShapeError
 
 CHECKPOINT_MAGIC = "wtal-checkpoint-v1"
+
+
+class ShapeError(ValueError):
+    """Features or a gradient buffer that do not fit the model."""
 
 
 def param_layout(config):

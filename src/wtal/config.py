@@ -15,6 +15,19 @@ from .formats import (DataError, finite_number, integer_field, read_json,
                       write_json)
 
 
+def _check(config, names, expected, ok):
+    """A ValueError naming the first field of names whose value in config
+    fails ok, its value and what was expected of it."""
+    for name in names:
+        if not ok(value := getattr(config, name)):
+            raise ValueError(f"field {name!r} is {json.dumps(value)}, "
+                             f"expected {expected}")
+
+
+def _odd(value):
+    return value >= 1 and value % 2 == 1
+
+
 @dataclass
 class ModelConfig:
     feature_dim: int
@@ -26,13 +39,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.embed_dim is None:
             self.embed_dim = self.feature_dim
-        if self.kernel_size % 2 == 0 or self.kernel_size < 1:
-            raise ValueError("kernel_size must be odd")
-        if min(self.feature_dim, self.conv_layers, self.embed_dim) < 1:
-            raise ValueError("feature_dim, conv_layers and embed_dim must "
-                             "be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
+        _check(self, ("kernel_size",), "an odd integer >= 1", _odd)
+        _check(self, ("feature_dim", "conv_layers", "embed_dim"),
+               "an integer >= 1", lambda v: v >= 1)
+        _check(self, ("num_classes",), "an integer >= 2", lambda v: v >= 2)
 
 
 @dataclass
@@ -42,8 +52,8 @@ class LossConfig:
     s: int = 8           # top/bottom fraction divisor: l = max(1, T // s)
 
     def __post_init__(self):
-        if self.alpha < 0 or self.gamma < 0 or self.s < 1:
-            raise ValueError("alpha and gamma must be >= 0, s >= 1")
+        _check(self, ("alpha", "gamma"), "a number >= 0", lambda v: v >= 0)
+        _check(self, ("s",), "an integer >= 1", lambda v: v >= 1)
 
 
 @dataclass
@@ -58,21 +68,18 @@ class RefinementConfig:
     learning_rate: float = 1e-4
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if self.kind not in ("soft", "hard"):
-            raise ValueError("kind must be 'soft' or 'hard'")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.epochs_initial < 1 or self.epochs_refine < 1:
-            raise ValueError("epochs_initial and epochs_refine must be >= 1")
-        if self.smoothing_kernel < 0 or (self.smoothing_kernel
-                                         and self.smoothing_kernel % 2 == 0):
-            raise ValueError("smoothing_kernel must be 0 or odd")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be > 0")
+        _check(self, ("beta",), "a number in [0, 1]",
+               lambda v: 0.0 <= v <= 1.0)
+        _check(self, ("theta",), "a number in (0, 1)",
+               lambda v: 0.0 < v < 1.0)
+        _check(self, ("kind",), '"soft" or "hard"',
+               lambda v: v in ("soft", "hard"))
+        _check(self, ("iterations",), "an integer >= 0", lambda v: v >= 0)
+        _check(self, ("epochs_initial", "epochs_refine"), "an integer >= 1",
+               lambda v: v >= 1)
+        _check(self, ("smoothing_kernel",), "0 or an odd integer >= 1",
+               lambda v: v == 0 or _odd(v))
+        _check(self, ("learning_rate",), "a number > 0", lambda v: v > 0.0)
 
 
 @dataclass
@@ -83,14 +90,12 @@ class LocalizationConfig:
     class_score_floor: float = 0.1
 
     def __post_init__(self):
-        if self.upsample_factor < 1:
-            raise ValueError("upsample_factor must be >= 1")
-        if not 0.0 < self.attention_threshold < 1.0:
-            raise ValueError("attention_threshold must lie in (0, 1)")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if not 0.0 <= self.class_score_floor <= 1.0:
-            raise ValueError("class_score_floor must lie in [0, 1]")
+        _check(self, ("upsample_factor", "top_k"), "an integer >= 1",
+               lambda v: v >= 1)
+        _check(self, ("attention_threshold",), "a number in (0, 1)",
+               lambda v: 0.0 < v < 1.0)
+        _check(self, ("class_score_floor",), "a number in [0, 1]",
+               lambda v: 0.0 <= v <= 1.0)
 
 
 @dataclass

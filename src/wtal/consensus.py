@@ -63,9 +63,8 @@ def load_pseudo_gt(path, num_snippets):
 def max_pool_smooth(attention, kernel):
     """Temporal max pooling, stride 1, centered windows truncated at the
     sequence boundaries (no padding). A NaN in a window makes its max
-    NaN; the max of +0.0 and -0.0 may be either."""
-    if kernel % 2 == 0 or kernel < 1:
-        raise ValueError("kernel must be odd and positive")
+    NaN; the max of +0.0 and -0.0 may be either. The kernel is odd (a
+    checked ``RefinementConfig.smoothing_kernel``)."""
     a = np.asarray(attention, dtype=np.float64)
     if not a.size:
         return a.copy()
@@ -76,18 +75,16 @@ def max_pool_smooth(attention, kernel):
 
 
 def make_pseudo_gt(fused, kind, theta):
-    """Frame-level pseudo GT values. Soft: a copy of the fused attention.
-    Hard: 1 where fused > theta else 0 (strict inequality, so a value
-    equal to theta maps to 0)."""
+    """Frame-level pseudo GT values of kind "soft" or "hard". Soft: a copy
+    of the fused attention. Hard: 1 where fused > theta else 0 (strict
+    inequality, so a value equal to theta maps to 0)."""
     fused = np.asarray(fused, dtype=np.float64)
     # written so that NaN, which fails every comparison, is rejected too
     if not np.all((fused >= 0.0) & (fused <= 1.0)):
         raise ValueError("fused attention must lie in [0, 1]")
     if kind == "soft":
         return fused.copy()
-    if kind == "hard":
-        return (fused > theta).astype(np.float64)
-    raise ValueError("kind must be 'soft' or 'hard'")
+    return (fused > theta).astype(np.float64)
 
 
 def compute_pseudo_gt(models, videos, refine_cfg):
@@ -165,8 +162,7 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
             fp = basemodel.forward(model, video.features(model.modality))
             gt = pseudo[video.id] if pseudo is not None else None
             cls_val, att_val, gt_val, total, d_att, d_pred = \
-                losses.video_objective(fp, video.label, gt, loss_cfg,
-                                       iteration)
+                losses.video_objective(fp, video.label, gt, loss_cfg)
             if not np.isfinite(total):
                 raise NumericError(model.modality, iteration, epoch,
                                    video.id)
@@ -176,9 +172,8 @@ def _train_one_iteration(model, videos, pseudo, iteration, epochs, loss_cfg,
             sums += (cls_val, att_val, gt_val or 0.0)
         means = sums / n
         gt_mean = float(means[2]) if pseudo is not None else None
-        total_mean = losses.total_loss(
-            float(means[0]), float(means[1]), loss_cfg,
-            gt_value=gt_mean, iteration=iteration)
+        total_mean = losses.total_loss(float(means[0]), float(means[1]),
+                                       loss_cfg, gt_value=gt_mean)
         log_rows.append(LogRow(iteration=iteration, epoch=epoch,
                                stream=model.modality,
                                mean_cls_loss=float(means[0]),

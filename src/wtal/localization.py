@@ -21,15 +21,11 @@ from .numkit import fuse_attention
 
 
 def upsample_linear(sequence, factor):
-    """Linear upsampling; output index j reads source coordinate
-    (j + 0.5) / factor - 0.5, clamped to [0, T-1]. Matrices are
-    upsampled per column."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
+    """Linear upsampling of a nonempty sequence by an integer factor >= 1;
+    output index j reads source coordinate (j + 0.5) / factor - 0.5,
+    clamped to [0, T-1]. Matrices are upsampled per column."""
     seq = np.asarray(sequence, dtype=np.float64)
     t = seq.shape[0]
-    if t < 1:
-        raise ValueError("sequence must be nonempty")
     j = np.arange(t * factor)
     p = np.clip((j + 0.5) / factor - 0.5, 0.0, t - 1.0)
     i0 = np.floor(p).astype(int)
@@ -62,7 +58,8 @@ def extract_segments(attention, threshold):
 
 def oic_score(start, end, weights):
     """Outer-inner contrastive score of a (start, end) segment (1-based
-    inclusive) over a weight sequence (attention-weighted T-CAM column).
+    inclusive, 1 <= start <= end <= T, as extract_segments gives it) over
+    a weight sequence (attention-weighted T-CAM column).
 
     Inner mean over the segment minus the mean over the surrounding
     margins, which extend L/4 on each side (L = end - start), rounded
@@ -71,8 +68,6 @@ def oic_score(start, end, weights):
     """
     w = np.asarray(weights, dtype=np.float64)
     t = w.shape[0]
-    if not (1 <= start <= end <= t):
-        raise ValueError("proposal out of range")
     length = end - start
     outer_start = max(1, math.floor(start - length / 4.0))
     outer_end = min(t, math.ceil(end + length / 4.0))
@@ -95,8 +90,6 @@ def localize(video_id, rgb_out, flow_out, config, beta, mode="fused"):
     "flow"; a single stream is the fusion with weight 1 or 0 on rgb.
     """
     weights = dict(zip(MODES, (beta, 1.0, 0.0)))
-    if mode not in weights:
-        raise ValueError(f"unknown mode {mode!r}")
     attention, tcam, prediction = (
         fuse_attention(getattr(rgb_out, name), getattr(flow_out, name),
                        weights[mode])

@@ -2,7 +2,11 @@
 pseudo-ground-truth MSE, and their weighted combination.
 
 Each loss returns its value together with the gradient needed by the
-model's backward pass.
+model's backward pass. The losses take what the model and the trainer
+hand them and check none of it: a label and a prediction of the model's
+C classes, and an attention sequence and pseudo GT of the video's T >= 1
+snippets (the manifest refuses a video without one). Only
+``consensus.run_refinement`` passes pseudo GT, and never at iteration 0.
 """
 
 import numpy as np
@@ -14,8 +18,6 @@ def classification_loss(y, y_hat):
     """Cross entropy -sum y_c log(y_hat_c) with a 1e-12 floor inside log."""
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y.shape != y_hat.shape:
-        raise ValueError("label and prediction lengths differ")
     return float(-(y * np.log(np.maximum(y_hat, LOG_FLOOR))).sum())
 
 
@@ -36,8 +38,6 @@ def attention_norm_loss(attention, s):
     """
     a = np.asarray(attention, dtype=np.float64)
     t = a.shape[0]
-    if t < 1:
-        raise ValueError("attention sequence must be nonempty")
     l = max(1, t // int(s))
     ascending = np.argsort(a, kind="stable")
     bottom = ascending[:l]
@@ -54,25 +54,21 @@ def pseudo_gt_loss(attention, gt):
     """Mean squared error between the attention sequence and pseudo GT."""
     a = np.asarray(attention, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
-    if a.shape != g.shape:
-        raise ValueError("attention and pseudo-GT lengths differ")
     diff = a - g
     value = float(np.mean(diff * diff))
     grad = 2.0 * diff / a.shape[0]
     return value, grad
 
 
-def total_loss(cls_value, att_value, config, gt_value=None, iteration=0):
-    """Weighted combination: cls + alpha*att (+ gamma*gt after iteration 0)."""
-    if gt_value is not None and iteration == 0:
-        raise ValueError("pseudo-GT term is not defined at iteration 0")
+def total_loss(cls_value, att_value, config, gt_value=None):
+    """Weighted combination: cls + alpha*att (+ gamma*gt with pseudo GT)."""
     total = cls_value + config.alpha * att_value
     if gt_value is not None:
         total += config.gamma * gt_value
     return float(total)
 
 
-def video_objective(fp, label, pseudo, config, iteration):
+def video_objective(fp, label, pseudo, config):
     """One stream's loss terms (gt None without pseudo GT), their total
     and the upstream gradients for basemodel.backward on one video's
     forward pass: (cls, att, gt, total, d_attention, d_prediction)."""
@@ -84,6 +80,5 @@ def video_objective(fp, label, pseudo, config, iteration):
     if pseudo is not None:
         gt_value, d_gt = pseudo_gt_loss(fp.attention, pseudo)
         d_attention = d_attention + config.gamma * d_gt
-    total = total_loss(cls_value, att_value, config, gt_value=gt_value,
-                       iteration=iteration)
+    total = total_loss(cls_value, att_value, config, gt_value=gt_value)
     return cls_value, att_value, gt_value, total, d_attention, d_prediction

@@ -3,17 +3,16 @@ passes, the convex fusion of two streams, the Adam optimizer, and a
 finite-difference gradient checker.
 
 All arrays are float64 numpy arrays, and the layer kernels convert none
-of their inputs. Every backward function is a pure function of the
+of their inputs. Nor do they check them: the shapes they get are the
+ones ``basemodel.param_layout`` builds from a checked ``ModelConfig``,
+and the fusion weight is a checked ``RefinementConfig.beta`` (or 1 or 0,
+a single stream). Every backward function is a pure function of the
 recorded forward inputs, so there is no tape.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class ShapeError(ValueError):
-    """Raised when operand shapes are inconsistent."""
 
 
 # ---------------------------------------------------------------------------
@@ -24,15 +23,7 @@ def temporal_conv_forward(inp, weights, bias):
 
     Zero padding keeps the output length equal to T. K must be odd.
     """
-    if inp.ndim != 2 or inp.shape[0] < 1:
-        raise ShapeError("input must be a (T, D_in) matrix with T >= 1")
-    if weights.ndim != 3:
-        raise ShapeError("weights must be (K, D_in, D_out)")
     k, d_in, d_out = weights.shape
-    if k % 2 == 0 or k == 0:
-        raise ShapeError("kernel size must be odd and positive")
-    if inp.shape[1] != d_in or bias.shape != (d_out,):
-        raise ShapeError("channel dimensions do not agree")
     t = inp.shape[0]
     half = k // 2
     padded = np.zeros((t + 2 * half, d_in))
@@ -72,18 +63,12 @@ def temporal_conv_backward(inp, weights, d_out, need_input=True):
 
 def fc_forward(inp, weights, bias):
     """Affine map inp @ weights + bias; inp may be a row or a matrix."""
-    if weights.ndim != 2 or inp.shape[-1] != weights.shape[0]:
-        raise ShapeError("fc: input width does not match weight rows")
-    if bias.shape != (weights.shape[1],):
-        raise ShapeError("fc: bias length does not match weight columns")
     return inp @ weights + bias
 
 
 def fc_backward(inp, weights, d_out):
     """Gradients of fc_forward w.r.t. input, weights, bias for one input
-    row, the pooled feature; a matrix input is a ShapeError."""
-    if inp.ndim != 1:
-        raise ShapeError("fc_backward: input must be one row")
+    row, the pooled feature."""
     return d_out @ weights.T, np.outer(inp, d_out), d_out.copy()
 
 
@@ -136,13 +121,10 @@ def softmax_backward(probs, d_probs):
 # already-wrapped function and count every call twice
 
 def fuse_attention(rgb, flow, beta):
-    """Convex combination beta*rgb + (1-beta)*flow, elementwise."""
+    """Convex combination beta*rgb + (1-beta)*flow, elementwise, of two
+    outputs of the same shape; beta lies in [0, 1]."""
     rgb = np.asarray(rgb, dtype=np.float64)
     flow = np.asarray(flow, dtype=np.float64)
-    if rgb.shape != flow.shape:
-        raise ValueError("attention sequences differ in length")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
     return beta * rgb + (1.0 - beta) * flow
 
 
@@ -174,8 +156,6 @@ def adam_init(params, learning_rate):
 def adam_step(params, grads, state):
     """One in-place Adam update of the vector params given the vector
     grads."""
-    if np.shape(grads) != np.shape(params):
-        raise ShapeError("adam_step: parameter and gradient shapes differ")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t

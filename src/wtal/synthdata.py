@@ -31,6 +31,10 @@ SIGNAL_AMPLITUDE = 3.0
 RGB_NOISE = 0.8
 FLOW_NOISE = 0.4
 NOISE_SMOOTHING = 3
+# Planted segments keep SEGMENT_GAP snippets apart; placing one gives up
+# after PLACEMENT_ATTEMPTS draws.
+SEGMENT_GAP = 2
+PLACEMENT_ATTEMPTS = 50
 
 
 @dataclass
@@ -49,7 +53,8 @@ class GeneratorConfig:
 
     def __post_init__(self):
         for name, low in (("num_train", 1), ("num_test", 0),
-                          ("num_classes", 2), ("feature_dim", 2)):
+                          ("num_classes", 2), ("feature_dim", 2),
+                          ("max_categories_per_video", 1)):
             if (value := getattr(self, name)) < low:
                 raise DataError(f"field {name!r} is {value}, expected an "
                                 f"integer >= {low}")
@@ -84,16 +89,17 @@ class VideoSample:
         return self.rgb if stream == "rgb" else self.flow
 
 
-def _place_segments(rng, t, lengths, occupied, gap=2, attempts=50):
-    """Place non-overlapping segments (1-based inclusive), keeping a gap
-    from already occupied ones. Returns the placed (start, end) list."""
+def _place_segments(rng, t, lengths, occupied):
+    """Place non-overlapping segments (1-based inclusive), keeping
+    SEGMENT_GAP from already occupied ones. Returns the placed (start,
+    end) list."""
     placed = []
     for length in lengths:
         length = min(length, t)
-        for _ in range(attempts):
+        for _ in range(PLACEMENT_ATTEMPTS):
             start = int(rng.integers(1, t - length + 2))
             end = start + length - 1
-            ok = all(end + gap < s or start - gap > e
+            ok = all(end + SEGMENT_GAP < s or start - SEGMENT_GAP > e
                      for s, e, *_ in occupied + placed)
             if ok:
                 placed.append((start, end))
@@ -234,8 +240,6 @@ def load(directory, split=None):
     """The dataset in directory with the features of the videos of split
     ("train" or "test"), or of both splits when split is None; the other
     split is left empty and none of its feature files is opened."""
-    if split not in (None, "train", "test"):
-        raise ValueError(f"unknown split {split!r}")
     manifest = read_manifest(directory)
     d = manifest.feature_dim
 

@@ -172,7 +172,7 @@ class TestLossOracles:
                 - 0.95),
             abs(losses.total_loss(1.0, -1.0, LossConfig(alpha=0.1,
                                                         gamma=2.0),
-                                  gt_value=0.25, iteration=1) - 1.4),
+                                  gt_value=0.25) - 1.4),
         ]
         worst = max(checks)
         report("loss-value oracles: all hand-derived values within 1e-9",

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from wtal import basemodel, consensus, losses, numkit, synthdata
-from wtal.basemodel import StreamModel
+from wtal.basemodel import ShapeError, StreamModel
 from wtal.config import LossConfig, ModelConfig, RefinementConfig
-from wtal.numkit import ShapeError
 
 
 def make_model(feature_dim=4, num_classes=3, embed_dim=None, seed=0):
@@ -124,8 +123,8 @@ def full_loss_and_grads(model, features, label, gt=None):
     its gradient through the whole model; pseudo GT ``gt`` makes it an
     objective of iteration 1."""
     fp = basemodel.forward(model, features)
-    *_, total, d_att, d_pred = losses.video_objective(
-        fp, label, gt, LossConfig(), 0 if gt is None else 1)
+    *_, total, d_att, d_pred = losses.video_objective(fp, label, gt,
+                                                      LossConfig())
     return total, basemodel.backward(model, fp, d_attention=d_att,
                                      d_prediction=d_pred)
 

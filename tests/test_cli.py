@@ -402,6 +402,31 @@ class TestTrain:
         ({"localization": {"class_score_floor": -0.1}},
          ["'localization'", "class_score_floor"]),
         ({"refinement": {"beta": 1.5}}, ["'refinement'", "beta"]),
+        ({"model": {"kernel_size": -1}},
+         ["'model'", "field 'kernel_size' is -1, expected an odd integer "
+          ">= 1"]),
+        ({"model": {"kernel_size": 2}},
+         ["'model'", "field 'kernel_size' is 2, expected an odd integer "
+          ">= 1"]),
+        ({"model": {"conv_layers": 0}},
+         ["'model'", "field 'conv_layers' is 0, expected an integer >= 1"]),
+        ({"loss": {"s": 0}},
+         ["'loss'", "field 's' is 0, expected an integer >= 1"]),
+        ({"refinement": {"epochs_refine": 0}},
+         ["'refinement'", "field 'epochs_refine' is 0, expected an integer "
+          ">= 1"]),
+        ({"refinement": {"kind": "medium"}},
+         ["'refinement'", 'field \'kind\' is "medium", expected "soft" or '
+          '"hard"']),
+        ({"refinement": {"smoothing_kernel": -3}},
+         ["'refinement'", "field 'smoothing_kernel' is -3, expected 0 or an "
+          "odd integer >= 1"]),
+        ({"refinement": {"smoothing_kernel": 2}},
+         ["'refinement'", "field 'smoothing_kernel' is 2, expected 0 or an "
+          "odd integer >= 1"]),
+        ({"localization": {"upsample_factor": 0}},
+         ["'localization'", "field 'upsample_factor' is 0, expected an "
+          "integer >= 1"]),
     ], ids=["model-not-object", "beta-string", "iterations-float",
             "upsample-float", "s-float", "seed-string", "seed-negative",
             "evaluation-typo",
@@ -411,7 +436,10 @@ class TestTrain:
             "generator-section",
             "top-level-list", "embed-dim-0", "epochs-0",
             "smoothing-negative", "learning-rate-negative", "top-k-0",
-            "floor-above-1", "floor-negative", "beta-above-1"])
+            "floor-above-1", "floor-negative", "beta-above-1",
+            "kernel-negative", "kernel-even", "conv-layers-0", "s-0",
+            "epochs-refine-0", "kind-unknown", "smoothing-negative-odd",
+            "smoothing-even", "upsample-0"])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_bad_config_is_one_line_data_error(self, workspace, tmp_path,
                                                capsys, command, config,
@@ -526,6 +554,27 @@ class TestLocalizeEval:
             models, dataset.test, LocalizationConfig(),
             RefinementConfig().beta, mode=mode), dataset.class_names)
         assert out.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("localize", "--mode", "both"), ("eval", "--split", "val")])
+    def test_unknown_choice_is_usage_error(self, workspace, proposals,
+                                           tmp_path, capsys, command,
+                                           option, value):
+        run_dir = workspace["run"]
+        inputs = {"localize": ["--checkpoint-rgb",
+                               str(run_dir / "iter1_rgb.ckpt"),
+                               "--checkpoint-flow",
+                               str(run_dir / "iter1_flow.ckpt")],
+                  "eval": ["--proposals", str(proposals)]}[command]
+        assert cli.main([command, *inputs,
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(tmp_path / "out"),
+                         option, value]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"usage error: argument {option}: "), err
+        assert repr(value) in err, err
+        assert not list(tmp_path.iterdir())
 
     def test_out_of_memory_is_data_error(self, workspace, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -741,6 +790,9 @@ class TestLocalizeEval:
          ["'config'", "missing field 'num_classes'"]),
         (lambda header, body: header["config"].update(kernel_size=True),
          ["'config'", "'kernel_size'"]),
+        (lambda header, body: header["config"].update(kernel_size=2),
+         ["'config'", "field 'kernel_size' is 2, expected an odd integer "
+          ">= 1"]),
         # more layers than the file's bytes can hold: refused before the
         # layout, whose length grows with the count, is built
         (lambda header, body: header["config"].update(conv_layers=10_000),
@@ -758,8 +810,8 @@ class TestLocalizeEval:
     ], ids=["no-format", "no-modality", "no-config", "no-params", "no-meta",
             "param-missing", "param-shape", "config-narrower",
             "config-type", "config-unknown-key", "config-no-num-classes",
-            "config-bool", "config-layers", "trailing-bytes", "param-nan",
-            "param-inf"])
+            "config-bool", "config-even-kernel", "config-layers",
+            "trailing-bytes", "param-nan", "param-inf"])
     def test_bad_checkpoint_is_data_error(self, workspace, tmp_path, capsys,
                                           edit, names):
         bad = tmp_path / "bad.ckpt"

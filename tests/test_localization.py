@@ -50,10 +50,6 @@ class TestUpsampleLinear:
             np.testing.assert_allclose(out[:, c],
                                        upsample_linear(m[:, c], 4))
 
-    def test_factor_zero_rejected(self):
-        with pytest.raises(ValueError):
-            upsample_linear(np.zeros(3), 0)
-
 
 class TestSelectCategories:
     def test_top_two_above_floor(self):
@@ -176,12 +172,6 @@ class TestOicScore:
         # L=0: outer region equals inner region, so the outer term is 0
         assert oic_score(5, 5, w) == 1.0
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            oic_score(0, 3, np.ones(5))
-        with pytest.raises(ValueError):
-            oic_score(2, 6, np.ones(5))
-
 
 def make_outputs(attention, tcam, prediction):
     attention = np.asarray(attention, dtype=np.float64)
@@ -264,11 +254,6 @@ class TestLocalize:
         assert localize("v", rgb, flow, self.config, self.beta, mode="rgb")
         assert localize("v", rgb, flow, self.config, self.beta,
                         mode="flow") == []
-
-    def test_unknown_mode_rejected(self):
-        out = self.outputs_with_box()
-        with pytest.raises(ValueError):
-            localize("v", out, out, self.config, self.beta, mode="both")
 
     def test_boundaries_in_snippet_units(self):
         out = self.outputs_with_box()

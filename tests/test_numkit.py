@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wtal import numkit
-from wtal.numkit import ShapeError
 
 
 class TestTemporalConv:
@@ -34,16 +33,6 @@ class TestTemporalConv:
             out = numkit.temporal_conv_forward(inp, w, rng.normal(size=6))
             assert out.shape == (t, 6)
 
-    def test_rejects_even_kernel(self):
-        with pytest.raises(ShapeError):
-            numkit.temporal_conv_forward(np.ones((3, 2)),
-                                         np.ones((2, 2, 2)), np.zeros(2))
-
-    def test_rejects_empty_input(self):
-        with pytest.raises(ShapeError):
-            numkit.temporal_conv_forward(np.ones((0, 2)),
-                                         np.ones((3, 2, 2)), np.zeros(2))
-
     def test_backward_without_input_gradient(self):
         rng = np.random.default_rng(4)
         inp = rng.normal(size=(6, 3))
@@ -72,15 +61,6 @@ class TestFc:
         out = numkit.fc_forward(np.array([1.0, 2.0]),
                                 np.array([[1.0], [-1.0]]), np.array([0.5]))
         np.testing.assert_allclose(out, [-0.5])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            numkit.fc_forward(np.ones(3), np.ones((2, 2)), np.zeros(2))
-
-    def test_backward_takes_one_row_only(self):
-        with pytest.raises(ShapeError):
-            numkit.fc_backward(np.ones((4, 3)), np.ones((3, 2)),
-                               np.ones((4, 2)))
 
 
 class TestNonlinearities:
@@ -222,12 +202,6 @@ class TestAdam:
             numkit.adam_step(params, np.array([2.0]), state)
             seen.append(params[0])
         assert all(b < a for a, b in zip(seen, seen[1:]))
-
-    def test_shape_mismatch(self):
-        params = np.zeros(3)
-        state = numkit.adam_init(params, 1e-4)
-        with pytest.raises(ShapeError):
-            numkit.adam_step(params, np.zeros(2), state)
 
     def test_flat_step_matches_per_name_reference(self):
         """The flat update gives the bits of the same update applied to

@@ -127,6 +127,9 @@ class TestGenerate:
             small_config(flow_miss_rate=1.5)
         with pytest.raises(DataError, match="^field 'num_test' is -1, "):
             small_config(num_test=-1)
+        with pytest.raises(DataError,
+                           match="^field 'max_categories_per_video' is 0, "):
+            small_config(max_categories_per_video=0)
 
 
 class TestSaveLoad:
@@ -276,11 +279,6 @@ class TestLoadSplit:
         synthdata.load(tmp_path, split="train")
         with pytest.raises(DataError, match="not finite"):
             synthdata.load(tmp_path, split="test")
-
-    def test_unknown_split_rejected(self, tmp_path):
-        synthdata.save(synthdata.generate(small_config()), tmp_path)
-        with pytest.raises(ValueError, match="unknown split 'val'"):
-            synthdata.load(tmp_path, split="val")
 
 
 class TestRepeatedKeys:
