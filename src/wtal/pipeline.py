@@ -73,24 +73,162 @@ def write_attention_csv(path, attention, factor, pseudo=None):
     """Per-video CSV of the upsampled (rgb, flow, fused) attention rows;
     one row per upsampled time step (T * factor rows). ``pseudo`` holds
     one value per snippet. Every number is written as its shortest
-    round-trip ``repr``; the time column is sliced from one formatted
-    per process (``_time_column``), the others are formatted per value."""
-    columns = [_time_column(len(attention[0]), factor)]
-    columns += [np.asarray(a, dtype=np.float64).tolist() for a in attention]
+    round-trip ``repr``. The time column is sliced from one formatted
+    per process (``_time_column``). The three attention columns and the
+    T pseudo GT values are formatted in one call (``_format_repr``): from
+    arrays for values in [1e-10, 1), by ``repr`` for the rest (0.0 and
+    1.0 among them) and for powers of two. Each pseudo GT text is then
+    repeated ``factor`` times."""
+    n = len(attention[0])
+    values = list(attention)
     header = ["time", "attention_rgb", "attention_flow", "attention_fuse"]
     if pseudo is not None:
         header.append("pseudo_gt")
-        columns.append(np.repeat(np.asarray(pseudo, dtype=np.float64),
-                                 factor).tolist())
+        values.append(pseudo)
+    texts = _format_repr(np.concatenate(values, dtype=np.float64))
+    columns = [_time_column(n, factor)]
+    columns += [texts[i * n:(i + 1) * n] for i in range(3)]
+    if pseudo is not None:
+        columns.append([text for text in texts[3 * n:]
+                        for _ in range(factor)])
     write_csv(path, header, columns)
+
+
+# Shortest round-trip digits of a float64 v in [1e-10, 1), exactly, for a
+# whole array (Steele & White 1990; Adams, "Ryu", 2018). With v = m 2**-q
+# (np.frexp, 2**52 <= m < 2**53) and e = floor(log10 v), the nearest
+# 17-digit decimal is N 10**-p, p = 16 - e: N = round(M / 2**s), half to
+# even, with M = m 5**p < 2**114 held in two uint64 words and s = q - p in
+# [33, 59]; R = M - N 2**s is the exact remainder. N + A, in the same
+# units, parses back to v iff 2 |A 2**s - R| < 5**p (5**p is odd, so the
+# tie that parsing would round to even cannot occur): iff A lies in an
+# integer interval [-below, above] around 0, at most 23 wide. The decimal
+# repr prints is the multiple of 10**j nearest to M / 2**s, a tie to even,
+# with its trailing zeros dropped, for the largest j such that a multiple
+# of 10**j lies in [N - below, N + above]; with j capped at 2 it is the
+# same number, as that interval holds at most one multiple of 100. repr
+# itself formats every value outside the domain; powers of two (m =
+# 2**52, whose neighbour below is nearer than the one above); and a value
+# where e is off (the floor of M / 2**s has not 17 digits) or where
+# rounding carries into an 18th digit.
+_POW5 = 5 ** np.arange(17, 27, dtype=np.uint64)     # 5**p for e = -1 .. -10
+_POW10 = 10 ** np.arange(17, dtype=np.int64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_ONE = np.uint64(1)
+
+
+def _shortest_digits(values):
+    """For each value of a float64 array: (digits, e, fast). Where
+    ``fast``, the shortest decimal that parses back to v is the int64
+    ``digits``, a 17-digit integer, times 10**(e - 16), with its trailing
+    zeros dropped; elsewhere ``digits`` is 10**16."""
+    values = np.asarray(values, dtype=np.float64)
+    domain = (values >= 1e-10) & (values < 1.0)
+    v = np.where(domain, values, 0.5)
+    f, exp2 = np.frexp(v)
+    m = (f * 2.0 ** 53).astype(np.int64).view(np.uint64)
+    e = np.clip(np.floor(np.log10(v)).astype(np.int64), -10, -1)
+    c = _POW5[-1 - e]
+    s = (37 - exp2 + e).astype(np.uint64)
+    # M = hi 2**64 + low, from the 32-bit halves of m and c
+    mh, ml = m >> np.uint64(32), m & _LOW32
+    ch, cl = c >> np.uint64(32), c & _LOW32
+    mid = ml * ch + mh * cl
+    lo = ml * cl
+    low = lo + (mid << np.uint64(32))
+    hi = mh * ch + (mid >> np.uint64(32)) + (low < lo)
+    floor = ((hi << (np.uint64(64) - s)) | (low >> s)).view(np.int64)
+    rem = low & ((_ONE << s) - _ONE)
+    half = _ONE << (s - _ONE)
+    up = (rem > half) | ((rem == half) & (floor & 1 == 1))
+    n17 = floor + up
+    # 2 R, and the interval: 2 A 2**s - 2 R within (-5**p, 5**p)
+    shift = s.astype(np.int64) + 1
+    r2 = (rem.view(np.int64) << 1) - (up.astype(np.int64) << shift)
+    c = c.view(np.int64)
+    whole, part = c >> shift, c & ((1 << shift) - 1)
+    above = whole + ((part + r2) >> shift)
+    below = whole + ((part - r2) >> shift)
+    top, width = n17 + above, above + below
+    j = ((top - top // 10 * 10 <= width).astype(np.intp)
+         + (top - top // 100 * 100 <= width))
+    power = _POW10[j]
+    quotient = n17 // power
+    twice = 2 * (n17 - quotient * power)
+    quotient += (twice > power) | ((twice == power) & (
+        (r2 > 0) | ((r2 == 0) & (quotient & 1 == 1))))
+    digits = quotient * power
+    fast = (domain & (f != 0.5) & (floor >= _POW10[16])
+            & (digits < 10 * _POW10[16]))
+    return np.where(fast, digits, _POW10[16]), e, fast
+
+
+def _digit_words():
+    """uint32 words of the 4 ASCII digits of 0, ..., 9999, then of the
+    same with trailing zeros as spaces."""
+    chars = (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+             + np.uint8(ord("0")))
+    stripped = chars.copy()
+    tail = np.ones(len(chars), dtype=bool)
+    for i in range(3, -1, -1):
+        tail &= chars[:, i] == ord("0")
+        stripped[tail, i] = ord(" ")
+    return np.concatenate([chars, stripped]).view(np.uint32).ravel()
+
+
+# A text is 8 bytes of lead, right-aligned, then the 16 digits after the
+# first in four words of _GROUP, with every trailing zero as a space.
+# Lead 10 k + d is "0." and k zeros then d for k = 0 .. 3 (e = -1 - k);
+# for e <= -5 it is "d." (k = 4) or, with no nonzero digit after d, "d"
+# (k = 5), and "e-05" etc. is appended to the text.
+_GROUP = _digit_words()
+_LEAD = np.frombuffer("".join(
+    text.rjust(8) for text in [f"0.{'0' * k}{d}" for k in range(4)
+                               for d in range(10)]
+    + [f"{d}." for d in range(10)] + [f"{d}" for d in range(10)]).encode(
+        "ascii"), np.uint64)
+
+
+def _format_repr(values):
+    """repr(float(v)) of each value of a float64 array, as a list of str.
+    Values in [1e-10, 1) are formatted from arrays (``_shortest_digits``),
+    each other value by repr."""
+    values = np.asarray(values, dtype=np.float64)
+    digits, e, fast = _shortest_digits(values)
+    first = digits // _POW10[16]
+    rest = digits - first * _POW10[16]
+    high = rest // _POW10[8]
+    low = rest - high * _POW10[8]
+    groups = []
+    for eight in (high, low):
+        four = eight // 10_000
+        groups += [four, eight - four * 10_000]
+    rows = np.empty((len(values), 6), np.uint32)
+    tail = np.ones(len(values), dtype=bool)     # no later nonzero digit
+    for column in range(5, 1, -1):
+        g = groups[column - 2]
+        rows[:, column] = _GROUP[g + 10_000 * tail]
+        tail &= g == 0
+    rows.view(np.uint64)[:, 0] = _LEAD[
+        np.where(e >= -4, -1 - e, 4 + tail) * 10 + first]
+    texts = rows.tobytes().decode("ascii").split()
+    small = np.flatnonzero(e < -4)
+    for i, k in zip(small.tolist(), (-e[small]).tolist()):
+        texts[i] += f"e-{k:02d}"
+    slow = np.flatnonzero(~fast)
+    for i, v in zip(slow.tolist(), values[slow].tolist()):
+        texts[i] = repr(v)
+    return texts
 
 
 # "%.2f" % v prints the exact product 100 v rounded to an integer, a tie
 # to even, as hundredths. For finite v >= 0 whose s = fl(100 v) is below
 # 1e5, s is within 2**-37 of that product, so np.rint(s) is the same
 # integer wherever s lies farther than _TIE_BAND from a half-integer.
-# Every other value (negative, -0.0, not finite, too large, or in the
-# band, where exact halves such as 0.125 lie) is formatted by "%.2f".
+# Every value whose 100 v is a half-integer is an odd eighth; for any v
+# with 8 v integral s is exact, and np.rint rounds its ties to even as
+# "%.2f" does. Every other value (negative, -0.0, not finite, too large,
+# or in the band and not a multiple of 1/8) is formatted by "%.2f".
 _TIE_BAND = 1e-9
 
 
@@ -115,8 +253,10 @@ def _format_2f(values, sep):
     values = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         s = values * 100.0
+        eighths = values * 8.0
         fast = (~np.signbit(values) & (s < 1e5)
-                & (np.abs(s - np.floor(s) - 0.5) > _TIE_BAND))
+                & ((np.abs(s - np.floor(s) - 0.5) > _TIE_BAND)
+                   | (eighths == np.floor(eighths))))
     hundredths = np.rint(np.where(fast, s, 0.0)).astype(np.intp)
     fields = (_WHOLE[hundredths // 100] | _FRACTION[hundredths % 100]
               | _SEPARATOR[sep]).view(np.uint8).reshape(-1, 8)
@@ -128,6 +268,23 @@ def _format_2f(values, sep):
         fields[slow] = np.frombuffer(
             "".join(t.ljust(width, "\0") for t in texts).encode("ascii"),
             np.uint8).reshape(-1, width)
+    return fields
+
+
+# The x coordinates of a polyline depend on nothing but its number of
+# steps; a process keeps them formatted per number, as _TIMES keeps the
+# time column.
+_SVG_WIDTH = 640.0
+_X_FIELDS = {}
+
+
+def _x_fields(n):
+    """The x coordinates (i + 0.5) * 640 / n of i = 0, ..., n - 1,
+    formatted by _format_2f with separator ","."""
+    fields = _X_FIELDS.get(n)
+    if fields is None:
+        fields = _X_FIELDS[n] = _format_2f(
+            (np.arange(n) + 0.5) * (_SVG_WIDTH / n), ",")
     return fields
 
 
@@ -147,15 +304,15 @@ def write_attention_svg(path, video, attention, proposals):
     """Small static figure: one row per upsampled attention sequence
     (rgb, flow, fused), ground-truth segments as gray boxes, proposals as
     green boxes. Each polyline's coordinates are formatted as "%.2f" from
-    arrays (``_format_2f``); the x coordinates once for all three."""
+    arrays (``_format_2f``); the x coordinates once per process and
+    number of steps (``_x_fields``), for all three."""
     rgb, flow, fused = attention
-    width = 640.0
+    width = _SVG_WIDTH
     row_h = 60.0
     pad = 10.0
     t = video.num_snippets
     x_per_snippet = width / t
-    x_fields = _format_2f((np.arange(len(rgb)) + 0.5) * (width / len(rgb)),
-                          ",")
+    x_fields = _x_fields(len(rgb))
     rows = [("rgb", rgb, "#d62728"), ("flow", flow, "#1f77b4"),
             ("fuse", fused, "#2ca02c")]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '

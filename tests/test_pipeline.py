@@ -227,6 +227,77 @@ class TestFormat2f:
 
 
 # ---------------------------------------------------------------------------
+# the shortest round-trip repr of the CSV attention values
+
+def neighbour(value, step):
+    """value, or the float one ulp below (step -1) or above (step 1) it."""
+    return float(np.nextafter(value, step * np.inf)) if step else value
+
+
+# every float64 (NaN, +-inf, +-0.0, subnormals); the array path's range
+# [1e-10, 1) and its exponent-notation part below 1e-4; decimals of
+# [1e-4, 1) with 1 to 16 places and their neighbours, where the shortest
+# digits are few; the powers of two 2**-1 .. 2**-40, which repr formats;
+# k / 2**b, whose decimals end in 5 and so give the rounding ties; the
+# neighbours of 1e-1 .. 1e-11, where the decimal exponent changes; and
+# the float below 1.0
+REPR_VALUE = st.one_of(
+    st.floats(),
+    st.floats(1e-10, 1.0, exclude_max=True),
+    st.floats(1e-10, 1e-4),
+    st.tuples(st.floats(1e-4, 1.0, exclude_max=True), st.integers(1, 16),
+              st.sampled_from([-1, 0, 1]))
+    .map(lambda t: neighbour(round(t[0], t[1]), t[2])),
+    st.integers(1, 40).map(lambda k: 2.0 ** -k),
+    st.tuples(st.integers(1, 2 ** 40), st.integers(1, 60))
+    .map(lambda t: t[0] / 2.0 ** t[1]),
+    st.tuples(st.integers(1, 11), st.sampled_from([-1, 0, 1]))
+    .map(lambda pair: neighbour(10.0 ** -pair[0], pair[1])),
+    st.just(neighbour(1.0, -1)))
+
+
+def sigmoid_attention(t, factor, seed):
+    """Both streams' attention as the plot writes it: sigmoids of seeded
+    logits upsampled by ``factor``, and their fusion. ``seed`` is anything
+    np.random.default_rng takes."""
+    rng = np.random.default_rng(seed)
+    rgb, flow = (localization.upsample_linear(
+        1.0 / (1.0 + np.exp(-rng.normal(scale=4.0, size=t))), factor)
+        for _ in range(2))
+    return rgb, flow, fuse_attention(rgb, flow, 0.5)
+
+
+class TestFormatRepr:
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(REPR_VALUE, max_size=40))
+    def test_every_element_is_repr(self, values):
+        values = np.array(values, dtype=np.float64)
+        assert pipeline._format_repr(values) == \
+            [repr(v) for v in values.tolist()]
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.uniform(size=100_000),
+        lambda rng: 10.0 ** rng.uniform(-11, 0, size=100_000),
+        lambda rng: (rng.integers(1, 2 ** 30, size=100_000)
+                     / 2.0 ** rng.integers(1, 50, size=100_000)),
+        lambda rng: np.concatenate(sigmoid_attention(4000, 8, rng))],
+        ids=["uniform", "log-uniform", "dyadic", "sigmoid"])
+    def test_many_seeded_values_are_repr(self, draw):
+        values = draw(np.random.default_rng(7))
+        assert pipeline._format_repr(values) == \
+            [repr(v) for v in values.tolist()]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_attention_takes_the_array_path(self, seed):
+        """Fewer than 1% of the plot's attention values may fall back to
+        repr: identical bytes alone would not show a path that formats
+        every value by repr."""
+        values = np.concatenate(sigmoid_attention(240, 8, seed))
+        fast = pipeline._shortest_digits(values)[2]
+        assert np.count_nonzero(~fast) < 0.01 * len(values)
+
+
+# ---------------------------------------------------------------------------
 # write_plot_bundle's worker processes
 
 @pytest.fixture(scope="module")
