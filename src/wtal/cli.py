@@ -52,12 +52,9 @@ def run_refinement(train_videos, model_cfg, loss_cfg, refine_cfg, seed):
 @_computes
 def cmd_gen_data(args):
     from . import synthdata
-    rates = {"rgb_false_positive_rate": args.confounder_rate,
-             "flow_miss_rate": args.flow_miss_rate}
-    dataset = synthdata.generate(synthdata.GeneratorConfig(
-        num_train=args.videos, num_test=args.test_videos,
-        num_classes=args.classes, feature_dim=args.dim, seed=args.seed,
-        **{key: rate for key, rate in rates.items() if rate is not None}))
+    given = {field: getattr(args, field) for _, field, _ in GEN_DATA_FLAGS
+             if hasattr(args, field)}
+    dataset = synthdata.generate(synthdata.GeneratorConfig(**given))
     synthdata.save(dataset, args.out)
     n_gt = sum(len(v.gt_segments) for v in dataset.all_videos())
     print(f"wrote {len(dataset.train)} train / {len(dataset.test)} test "
@@ -71,32 +68,30 @@ def cmd_train(args):
     # consensus is imported here, so that the traced span of
     # run_refinement times no import
     from . import basemodel, consensus, synthdata
-    cfg = load_run_config(args.config, {"dataset": args.dataset,
-                                        "output_dir": args.out,
-                                        "seed": args.seed})
-    dataset = synthdata.load(cfg.dataset, split="train")
+    config = load_run_config(args.config)
+    dataset = synthdata.load(args.dataset, split="train")
     if not dataset.train:
-        raise DataError(f"{os.path.join(cfg.dataset, 'manifest.json')}: no "
-                        "train video")
-    sections = resolved_config(cfg, dataset, args.config)
+        raise DataError(f"{os.path.join(args.dataset, 'manifest.json')}: "
+                        "no train video")
+    sections = resolved_config(config, dataset, args.config)
     refine_cfg = sections["refinement"]
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    write_resolved_config(cfg, os.path.join(cfg.output_dir,
-                                            "resolved_config.json"))
+    os.makedirs(args.out, exist_ok=True)
+    write_resolved_config(config, os.path.join(args.out,
+                                               "resolved_config.json"))
     result = run_refinement(dataset.train, sections["model"],
-                            sections["loss"], refine_cfg, cfg.seed)
+                            sections["loss"], refine_cfg, args.seed)
     for iteration, snapshot in enumerate(result.checkpoints):
         for stream, model in snapshot.items():
             meta = {**result.checkpoint_meta[iteration][stream],
-                    "iteration": iteration, "seed": cfg.seed}
+                    "iteration": iteration, "seed": args.seed}
             name = f"iter{iteration}_{stream}.ckpt"
-            basemodel.save_checkpoint(os.path.join(cfg.output_dir, name),
+            basemodel.save_checkpoint(os.path.join(args.out, name),
                                       model, meta=meta)
     consensus.save_training_log(
-        os.path.join(cfg.output_dir, "training_log.csv"), result.log_rows)
+        os.path.join(args.out, "training_log.csv"), result.log_rows)
     if args.dump_pseudo_gt:
         for iteration, pseudo in enumerate(result.pseudo_gt[1:], start=1):
-            pdir = os.path.join(cfg.output_dir, "pseudo_gt",
+            pdir = os.path.join(args.out, "pseudo_gt",
                                 f"iter{iteration}")
             os.makedirs(pdir, exist_ok=True)
             for vid, values in sorted(pseudo.items()):
@@ -104,7 +99,7 @@ def cmd_train(args):
                                          values)
     n_ckpt = 2 * len(result.checkpoints)
     print(f"trained {refine_cfg.iterations + 1} iterations, wrote "
-          f"{n_ckpt} checkpoints and training_log.csv -> {cfg.output_dir}")
+          f"{n_ckpt} checkpoints and training_log.csv -> {args.out}")
     return 0
 
 
@@ -114,9 +109,9 @@ def _load_inference_inputs(args):
     are read."""
     from . import basemodel, synthdata
     from .consensus import STREAMS
-    cfg = load_run_config(args.config)
+    config = load_run_config(args.config)
     dataset = synthdata.load(args.dataset, split=args.split)
-    sections = resolved_config(cfg, dataset, args.config)
+    sections = resolved_config(config, dataset, args.config)
     models = {}
     for stream in STREAMS:
         path = getattr(args, f"checkpoint_{stream}")
@@ -147,9 +142,9 @@ def cmd_localize(args):
 def cmd_eval(args):
     """Score proposals against the GT of the manifest; no feature file is
     read and no numeric module is imported."""
-    cfg = load_run_config(args.config)
+    config = load_run_config(args.config)
     manifest = formats.read_manifest(args.dataset)
-    sections = resolved_config(cfg, manifest, args.config)
+    sections = resolved_config(config, manifest, args.config)
     manifest_path = os.path.join(args.dataset, "manifest.json")
     videos = getattr(manifest, args.split)
     try:
@@ -211,6 +206,19 @@ def _seed(text):
     return value
 
 
+# (flag, synthdata.GeneratorConfig field, type) of each gen-data option
+# that sets the generator; an option not given keeps the field's default
+GEN_DATA_FLAGS = (
+    ("--videos", "num_train", int),
+    ("--test-videos", "num_test", int),
+    ("--classes", "num_classes", int),
+    ("--dim", "feature_dim", int),
+    ("--seed", "seed", _seed),
+    ("--confounder-rate", "rgb_false_positive_rate", float),
+    ("--flow-miss-rate", "flow_miss_rate", float),
+)
+
+
 def build_parser():
     parser = _Parser(prog="wtal",
                      description="weakly-supervised temporal action "
@@ -218,50 +226,45 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    p.add_argument("--videos", type=int, default=60,
-                   help="number of training videos")
-    p.add_argument("--test-videos", type=int, default=30)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--confounder-rate", type=float, default=None)
-    p.add_argument("--flow-miss-rate", type=float, default=None)
+    for flag, field, kind in GEN_DATA_FLAGS:
+        p.add_argument(flag, dest=field, type=kind,
+                       default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run iterative refinement training")
     p.add_argument("--config", default=None)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--dataset", default="data")
+    p.add_argument("--out", default="runs/default")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dump-pseudo-gt", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    def inference_parser(name, text):
-        """A parser for localize or plot, with the options they share."""
+    def input_parser(name, text, checkpoints=True):
+        """A parser for localize, eval or plot, with the options they
+        share; localize and plot also read both checkpoints."""
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None)
-        p.add_argument("--checkpoint-rgb", required=True)
-        p.add_argument("--checkpoint-flow", required=True)
         p.add_argument("--dataset", required=True)
         p.add_argument("--split", choices=("train", "test"), default="test")
+        if checkpoints:
+            p.add_argument("--checkpoint-rgb", required=True)
+            p.add_argument("--checkpoint-flow", required=True)
         return p
 
-    p = inference_parser("localize", "emit scored action proposals")
+    p = input_parser("localize", "emit scored action proposals")
     p.add_argument("--mode", choices=formats.MODES, default="fused")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("eval", help="score proposals against ground truth")
-    p.add_argument("--config", default=None)
+    p = input_parser("eval", "score proposals against ground truth",
+                     checkpoints=False)
     p.add_argument("--proposals", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--out", required=True,
                    help="output basename (.json and .txt are appended)")
     p.set_defaults(func=cmd_eval)
 
-    p = inference_parser("plot", "emit attention CSV + SVG per video")
+    p = input_parser("plot", "emit attention CSV + SVG per video")
     p.add_argument("--pseudo-gt-dir", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot)

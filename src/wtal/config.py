@@ -11,8 +11,7 @@ import types
 import typing
 from dataclasses import dataclass
 
-from .formats import (DataError, finite_number, integer_field, read_json,
-                      write_json)
+from .formats import DataError, finite_number, read_json, write_json
 
 
 def _check(config, names, expected, ok):
@@ -118,20 +117,6 @@ class EvaluationConfig:
                              "distinct multiples of 0.01")
 
 
-@dataclass
-class RunConfig:
-    """Resolved run configuration; every field has a default."""
-
-    seed: int = 0
-    dataset: str = "data"
-    output_dir: str = "runs/default"
-    model: dict = dataclasses.field(default_factory=dict)
-    loss: dict = dataclasses.field(default_factory=dict)
-    refinement: dict = dataclasses.field(default_factory=dict)
-    localization: dict = dataclasses.field(default_factory=dict)
-    evaluation: dict = dataclasses.field(default_factory=dict)
-
-
 SECTIONS = {"model": ModelConfig, "loss": LossConfig,
             "refinement": RefinementConfig,
             "localization": LocalizationConfig,
@@ -172,18 +157,16 @@ def _describe(hint):
     return _JSON_NAMES[hint]
 
 
-def check_fields(where, raw, cls, whole=False):
-    """Raise a one-line DataError unless raw is a JSON object that sets
-    only settable fields of the config class cls, each to a value of its
-    type; a whole config (a checkpoint's) sets every other field too."""
+def _check_object(where, raw, hints, optional):
+    """Raise a one-line DataError unless raw is a JSON object whose keys
+    are keys of hints, each set to a value of its type hint, and which
+    sets every key of hints that is not in optional."""
     if not isinstance(raw, dict):
         raise DataError(f"{where}: expected a JSON object, got "
                         f"{json.dumps(raw)}")
-    hints = typing.get_type_hints(cls)
-    settable = _settable(cls)
-    known = sorted(hints if whole else settable)
+    known = sorted(hints)
     for key, value in raw.items():
-        if key not in known:
+        if key not in hints:
             raise DataError(f"{where}: unknown field {key!r} "
                             f"(expected one of {known})")
         if not _fits(value, hints[key]):
@@ -191,33 +174,41 @@ def check_fields(where, raw, cls, whole=False):
                             f"{_describe(hints[key])}, got "
                             f"{json.dumps(value)}")
     for key in known:
-        if key not in raw and key not in settable:
+        if key not in raw and key not in optional:
             raise DataError(f"{where}: missing field {key!r}")
 
 
-def load_run_config(path=None, overrides=None):
-    cfg = RunConfig()
-    if path is not None:
-        raw = read_json(path)
-        check_fields(path, raw, RunConfig)
-        integer_field(path, "seed", raw.get("seed", 0), least=0)
-        for name, cls in SECTIONS.items():
-            check_fields(f"{path}: config section {name!r}",
-                         raw.get(name, {}), cls)
-        cfg = RunConfig(**raw)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+def check_fields(where, raw, cls, whole=False):
+    """Raise a one-line DataError unless raw is a JSON object that sets
+    only settable fields of the config class cls, each to a value of its
+    type; a whole config (a checkpoint's) sets every other field too."""
+    hints = typing.get_type_hints(cls)
+    settable = _settable(cls)
+    _check_object(where, raw, hints if whole else
+                  {key: hints[key] for key in settable}, settable)
 
 
-def resolved_config(cfg, dataset, path):
-    """{section name: config object} for every section in SECTIONS; a
-    value the section's constructor rejects is a DataError naming the
-    config file path."""
+def load_run_config(path):
+    """The checked {section name: {field: value}} of the config file at
+    path, {} for no file. Its top level holds only section names."""
+    if path is None:
+        return {}
+    raw = read_json(path)
+    _check_object(path, raw, dict.fromkeys(SECTIONS, dict), SECTIONS)
+    for name, cls in SECTIONS.items():
+        check_fields(f"{path}: config section {name!r}", raw.get(name, {}),
+                     cls)
+    return raw
+
+
+def resolved_config(config, dataset, path):
+    """{section name: config object} for every section in SECTIONS, from
+    the {section name: {field: value}} of load_run_config; a value the
+    section's constructor rejects is a DataError naming the config file
+    path."""
     sections = {}
     for name, cls in SECTIONS.items():
-        values = dict(getattr(cfg, name))
+        values = dict(config.get(name, {}))
         if name == "model":
             values.update(feature_dim=dataset.feature_dim,
                           num_classes=dataset.num_classes)
@@ -229,9 +220,8 @@ def resolved_config(cfg, dataset, path):
     return sections
 
 
-def write_resolved_config(cfg, path):
-    payload = dataclasses.asdict(cfg)
-    # fill in effective section defaults so the emitted file is complete
-    for name, cls in SECTIONS.items():
-        payload[name] = {**_settable(cls), **payload[name]}
-    write_json(path, payload)
+def write_resolved_config(config, path):
+    """Write every section of config with its defaults filled in, so
+    that the file is complete and reloads as a config."""
+    write_json(path, {name: {**_settable(cls), **config.get(name, {})}
+                      for name, cls in SECTIONS.items()})

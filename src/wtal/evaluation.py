@@ -36,11 +36,10 @@ def gt_from_videos(videos):
 
 def iou(a, b):
     """Intersection over union of two (start, end) intervals on the real
-    line; 0 when disjoint."""
+    line, each with start <= end, which every input path guarantees; 0
+    when disjoint."""
     a_start, a_end = a
     b_start, b_end = b
-    if a_start > a_end or b_start > b_end:
-        raise ValueError("invalid interval")
     inter = min(a_end, b_end) - max(a_start, b_start)
     if inter <= 0:
         return 0.0

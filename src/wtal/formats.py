@@ -196,6 +196,11 @@ def read_manifest(directory):
             if not isinstance(entry[key], str):
                 raise DataError(f"{where}: field {key!r} is "
                                 f"{json.dumps(entry[key])}, expected a string")
+        # plot and the pseudo-GT dump write one file named {id}.csv
+        if entry["id"] in ("", ".", "..") or {"/", "\0"} & set(entry["id"]):
+            raise DataError(f"{manifest_path}: video #{index}: field 'id' is "
+                            f"{json.dumps(entry['id'])}, expected a plain "
+                            "file name")
         if entry["id"] in seen:
             raise DataError(f"{where}: repeated video id")
         seen.add(entry["id"])

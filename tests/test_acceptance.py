@@ -15,7 +15,7 @@ from test_evaluation import gt, oracle_average_precision, prop
 from wtal import (basemodel, cli, consensus, evaluation, localization,
                   losses, numkit, pipeline, synthdata)
 from wtal.basemodel import StreamModel
-from wtal.config import LossConfig, ModelConfig, RunConfig, resolved_config
+from wtal.config import LossConfig, ModelConfig, resolved_config
 from wtal.consensus import STREAMS
 from wtal.localization import MODES
 
@@ -42,7 +42,7 @@ def experiment(seed, **sections):
     """pipeline.run_experiment on the default generator's dataset of the
     seed, with the config sections set as in a --config file."""
     dataset = synthdata.generate(synthdata.GeneratorConfig(seed=seed))
-    sections = resolved_config(RunConfig(**sections), dataset, None)
+    sections = resolved_config(sections, dataset, None)
     return dataset, sections, *pipeline.run_experiment(dataset, sections,
                                                        seed)
 

@@ -201,6 +201,14 @@ class TestGenData:
         for path in sorted(workspace["data"].iterdir()):
             assert path.read_bytes() == (other / path.name).read_bytes()
 
+    def test_defaults_are_the_generator_config(self, tmp_path):
+        out = tmp_path / "cli"
+        assert cli.main(["gen-data", "--out", str(out)]) == 0
+        reference = tmp_path / "reference"
+        synthdata.save(synthdata.generate(synthdata.GeneratorConfig()),
+                       reference)
+        assert tree_bytes(out) == tree_bytes(reference)
+
     def test_missing_out_is_usage_error(self, capsys):
         assert cli.main(["gen-data", "--videos", "4"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -268,16 +276,29 @@ class TestTrain:
     def test_resolved_config_round_trip(self, workspace):
         path = workspace["run"] / "resolved_config.json"
         resolved = json.loads(path.read_text())
-        assert resolved["seed"] == 5
+        assert list(resolved) == sorted(SECTIONS)
         assert resolved["refinement"]["iterations"] == 1
         assert resolved["refinement"]["beta"] == 0.4
         assert resolved["localization"]["upsample_factor"] == 8
         assert "beta" not in resolved["localization"]
         assert resolved["model"] == {"conv_layers": 2, "embed_dim": None,
                                      "kernel_size": 3}
-        reloaded = load_run_config(path)
-        assert reloaded.seed == 5
-        assert reloaded.refinement["epochs_initial"] == 4
+        assert load_run_config(path) == resolved
+
+    def test_resolved_config_trains_into_a_new_directory(self, workspace,
+                                                         tmp_path):
+        """A run's resolved_config.json given with a new --out trains the
+        same models there and leaves the run it came from untouched."""
+        run = workspace["run"]
+        before = tree_bytes(run)
+        out = tmp_path / "again"
+        assert cli.main(["train", "--config",
+                         str(run / "resolved_config.json"),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(out), "--seed", "5",
+                         "--dump-pseudo-gt"]) == 0
+        assert tree_bytes(run) == before
+        assert tree_bytes(out) == before
 
     def test_pseudo_gt_dump(self, workspace):
         pdir = workspace["run"] / "pseudo_gt" / "iter1"
@@ -371,8 +392,9 @@ class TestTrain:
         ({"localization": {"upsample_factor": 2.5}},
          ["'localization'", "'upsample_factor'"]),
         ({"loss": {"s": 2.5}}, ["'loss'", "'s'"]),
-        ({"seed": "x"}, ["'seed'"]),
-        ({"seed": -4}, ["field 'seed' is -4, expected an integer >= 0"]),
+        # seed is a train flag, not a config key, whatever its value
+        ({"seed": "x"}, ["unknown field 'seed'"]),
+        ({"seed": -4}, ["unknown field 'seed'"]),
         ({"evaluation": {"thresold": [0.5]}}, ["'evaluation'", "'thresold'"]),
         ({"evaluation": {"thresholds": 0.5}},
          ["'evaluation'", "'thresholds'"]),
@@ -457,6 +479,32 @@ class TestTrain:
         assert err.startswith(f"error: {path}: "), err
         assert all(name in err for name in names), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["seed", "dataset", "output_dir"])
+    @pytest.mark.parametrize("command", ["train", "localize", "eval", "plot"])
+    def test_run_setting_in_config_is_data_error(self, workspace, proposals,
+                                                 tmp_path, capsys, command,
+                                                 key):
+        """seed, dataset and output_dir are train flags: a config that
+        sets one, even to a usable value, exits 2 in every command."""
+        value = {"seed": 1, "dataset": str(workspace["data"]),
+                 "output_dir": str(tmp_path / "r")}[key]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"refinement": {}, key: value}))
+        out = str(tmp_path / "r")
+        run = workspace["run"]
+        models = ["--checkpoint-rgb", str(run / "iter1_rgb.ckpt"),
+                  "--checkpoint-flow", str(run / "iter1_flow.ckpt")]
+        argv = {"train": ["train"],
+                "localize": ["localize", *models],
+                "eval": ["eval", "--proposals", str(proposals)],
+                "plot": ["plot", *models]}[command]
+        assert cli.main(argv + ["--config", str(path), "--out", out,
+                                "--dataset", str(workspace["data"])]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown field {key!r} (expected one of "
+            f"{sorted(SECTIONS)})\n")
+        assert list(tmp_path.iterdir()) == [path]
 
     @settings(max_examples=80, deadline=None)
     @given(values=st.dictionaries(st.sampled_from(SECTION_FIELDS),
@@ -724,6 +772,11 @@ class TestLocalizeEval:
          "video train_0001: field 'label' is [0.5, 0.25, 0], expected "
          "nonnegative numbers that sum to 1"),
         (lambda videos: videos[1].update(id=[1]), "field 'id' is [1]"),
+        *[(lambda videos, vid=vid: videos[1].update(id=vid),
+           f"video #1: field 'id' is {json.dumps(vid)}, expected a plain "
+           "file name")
+          for vid in ("../escaped_test_0000", "a/b", "..", "", ".",
+                      "a\0b")],
         (lambda videos: videos[1].update(rgb_file=5),
          "video train_0001: field 'rgb_file' is 5"),
         (lambda videos: videos[1].update(split=["test"]),
@@ -737,7 +790,8 @@ class TestLocalizeEval:
     ], ids=["no-id", "no-T", "no-label", "no-rgb_file", "no-flow_file",
             "repeated-id", "not-object", "T-string", "T-zero",
             "label-short", "label-string", "label-negative", "label-sum",
-            "id-list", "rgb_file-number",
+            "id-list", "id-parent", "id-slash", "id-dotdot", "id-empty",
+            "id-dot", "id-nul", "rgb_file-number",
             "split-list", "gt-number", "gt-pair", "gt-category"])
     def test_bad_manifest_entry(self, workspace, tmp_path, capsys, edit,
                                 expected):
@@ -1075,15 +1129,8 @@ class TestReadsOnlyWhatItUses:
             assert cli.main(["train", "--config", str(workspace["config"]),
                              "--dataset", str(data), "--out", str(out),
                              "--seed", "5", "--dump-pseudo-gt"]) == 0
-            files = tree_bytes(out)
-            resolved = json.loads(files.pop("resolved_config.json"))
-            assert resolved.pop("dataset") == str(data)
-            assert resolved.pop("output_dir") == str(out)
-            outputs.append((files, resolved))
-        assert outputs[0] == outputs[1]
-        assert outputs[0][0] == {
-            name: data for name, data in tree_bytes(workspace["run"]).items()
-            if name != "resolved_config.json"}
+            outputs.append(tree_bytes(out))
+        assert outputs[0] == outputs[1] == tree_bytes(workspace["run"])
 
 
 

@@ -119,10 +119,6 @@ class TestIou:
             assert 0.0 <= v <= 1.0
             assert v == iou(tuple(b), tuple(a))
 
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            iou((3.0, 1.0), (0.0, 1.0))
-
 
 class TestAveragePrecision:
     def test_single_match(self):
