@@ -6,6 +6,7 @@ backward), and for inference the per-snippet class activation map.
 import json
 import math
 import struct
+import typing
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
@@ -13,8 +14,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import numkit
-from .config import ModelConfig, check_fields
-from .formats import DataError, unique_keys
+from .config import ModelConfig
+from .formats import DataError, check_object, unique_keys
 
 CHECKPOINT_MAGIC = "wtal-checkpoint-v1"
 
@@ -206,10 +207,6 @@ def save_checkpoint(path, model, meta=None):
             fh.write(arr.tobytes())
 
 
-_HEADER_FIELDS = (("modality", str, "a string"), ("config", dict, "an object"),
-                  ("params", list, "a list"), ("meta", dict, "an object"))
-
-
 def load_checkpoint(path):
     """Load a checkpoint; returns (StreamModel, meta dict). A file that is
     not exactly a header plus the parameter blocks its config implies is
@@ -231,12 +228,10 @@ def load_checkpoint(path):
             header.get("format") != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a model checkpoint (field 'format' "
                         f"is not {CHECKPOINT_MAGIC!r})")
-    for key, kind, what in _HEADER_FIELDS:
-        if not isinstance(header.get(key), kind):
-            raise DataError(f"{path}: field {key!r} is missing or not "
-                            f"{what}")
-    check_fields(f"{path}: field 'config'", header["config"], ModelConfig,
-                 whole=True)
+    check_object(path, header, {"format": str, "modality": str,
+                                "config": dict, "params": list, "meta": dict})
+    check_object(f"{path}: field 'config'", header["config"],
+                 typing.get_type_hints(ModelConfig))
     try:
         config = ModelConfig(**header["config"])
     except ValueError as exc:

@@ -1,17 +1,15 @@
 """The run config of ``--config``: its five sections (model shape, loss
 weights, refinement schedule, localization, evaluation), each checking
-its values on construction; the JSON type rule, which also checks a
-checkpoint's model config; and reading, resolving and writing the run
-config. The module imports no numpy, so ``wtal eval`` never loads it.
+its values on construction; and reading (its keys and JSON types
+checked by formats.check_object), resolving and writing the run config.
+The module imports no numpy, so ``wtal eval`` never loads it.
 """
 
 import dataclasses
-import json
-import types
 import typing
 from dataclasses import dataclass
 
-from .formats import DataError, finite_number, read_json, write_json
+from .formats import DataError, check_object, read_json, shown, write_json
 
 
 def _check(config, names, expected, ok):
@@ -19,7 +17,7 @@ def _check(config, names, expected, ok):
     fails ok, its value and what was expected of it."""
     for name in names:
         if not ok(value := getattr(config, name)):
-            raise ValueError(f"field {name!r} is {json.dumps(value)}, "
+            raise ValueError(f"field {name!r} is {shown(value)}, "
                              f"expected {expected}")
 
 
@@ -122,10 +120,6 @@ SECTIONS = {"model": ModelConfig, "loss": LossConfig,
             "localization": LocalizationConfig,
             "evaluation": EvaluationConfig}
 
-_JSON_NAMES = {int: "integer", float: "number", str: "string",
-               dict: "JSON object", type(None): "null"}
-
-
 def _settable(cls):
     """{field name: default} of the fields a config may set; a field
     without a default (the model's shape) comes from the dataset."""
@@ -135,69 +129,17 @@ def _settable(cls):
             if (f.default, f.default_factory) != (missing, missing)}
 
 
-def _fits(value, hint):
-    """Whether a parsed JSON value fits a field's type hint. A bool is
-    never a number, an int fits a float, a list fits a tuple when each
-    element fits, and X | None also takes null."""
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, list) and all(
-            _fits(v, typing.get_args(hint)[0]) for v in value)
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if hint is float:
-        return finite_number(value)
-    return isinstance(value, hint) and not isinstance(value, bool)
-
-
-def _describe(hint):
-    if typing.get_origin(hint) is tuple:
-        return f"list of {_describe(typing.get_args(hint)[0])}s"
-    if typing.get_origin(hint) is types.UnionType:
-        return " or ".join(map(_describe, typing.get_args(hint)))
-    return _JSON_NAMES[hint]
-
-
-def _check_object(where, raw, hints, optional):
-    """Raise a one-line DataError unless raw is a JSON object whose keys
-    are keys of hints, each set to a value of its type hint, and which
-    sets every key of hints that is not in optional."""
-    if not isinstance(raw, dict):
-        raise DataError(f"{where}: expected a JSON object, got "
-                        f"{json.dumps(raw)}")
-    known = sorted(hints)
-    for key, value in raw.items():
-        if key not in hints:
-            raise DataError(f"{where}: unknown field {key!r} "
-                            f"(expected one of {known})")
-        if not _fits(value, hints[key]):
-            raise DataError(f"{where}: field {key!r} expects "
-                            f"{_describe(hints[key])}, got "
-                            f"{json.dumps(value)}")
-    for key in known:
-        if key not in raw and key not in optional:
-            raise DataError(f"{where}: missing field {key!r}")
-
-
-def check_fields(where, raw, cls, whole=False):
-    """Raise a one-line DataError unless raw is a JSON object that sets
-    only settable fields of the config class cls, each to a value of its
-    type; a whole config (a checkpoint's) sets every other field too."""
-    hints = typing.get_type_hints(cls)
-    settable = _settable(cls)
-    _check_object(where, raw, hints if whole else
-                  {key: hints[key] for key in settable}, settable)
-
-
 def load_run_config(path):
     """The checked {section name: {field: value}} of the config file at
     path, {} for no file. Its top level holds only section names."""
     if path is None:
         return {}
     raw = read_json(path)
-    _check_object(path, raw, dict.fromkeys(SECTIONS, dict), SECTIONS)
+    check_object(path, raw, dict.fromkeys(SECTIONS, dict), SECTIONS)
     for name, cls in SECTIONS.items():
-        check_fields(f"{path}: config section {name!r}", raw.get(name, {}),
-                     cls)
+        hints, settable = typing.get_type_hints(cls), _settable(cls)
+        check_object(f"{path}: config section {name!r}", raw.get(name, {}),
+                     {key: hints[key] for key in settable}, settable)
     return raw
 
 

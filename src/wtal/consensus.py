@@ -44,7 +44,7 @@ def load_pseudo_gt(path, num_snippets):
             if "pseudo_gt" not in (reader.fieldnames or ()):
                 raise DataError(f"{path}: missing column 'pseudo_gt'")
             cells = [row["pseudo_gt"] for row in reader]
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
     if len(cells) != num_snippets:
         raise DataError(f"{path}: 'pseudo_gt' has {len(cells)} rows, "

@@ -8,7 +8,9 @@ file holds {"results": {video_id: [{label, score, segment}]}}. Both are
 read and written here, and every JSON file is written by write_json.
 Every CSV file (the training log, pseudo ground truth, plot data) is
 written by write_csv. Every reader checks what it reads and raises a
-one-line DataError naming the file and the field. The module imports no
+one-line DataError naming the file and the field; check_object is the
+one check of a JSON object's keys and value types, for the config, the
+manifest and a checkpoint header alike. The module imports no
 numpy, so ``wtal eval``, which reads these two files and a config, never
 loads it.
 """
@@ -16,6 +18,7 @@ loads it.
 import json
 import math
 import os
+import types
 from dataclasses import dataclass
 
 
@@ -67,9 +70,9 @@ def unique_keys(pairs):
 
 def read_json(path):
     """The JSON document in the file at path. A missing file, bytes that
-    are not UTF-8, invalid JSON, a key repeated within one object and
-    nesting too deep to parse are each a one-line DataError naming the
-    path."""
+    are not UTF-8, invalid JSON, a key repeated within one object, an
+    integer too long to convert and nesting too deep to parse are each a
+    one-line DataError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=unique_keys)
@@ -78,8 +81,66 @@ def read_json(path):
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON at line {exc.lineno}, column "
                         f"{exc.colno}: {exc.msg}") from exc
-    except (DataError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def shown(value):
+    """A parsed JSON value as a message shows it: its JSON text, cut
+    after 60 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
+_JSON_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings"), list: ("a list", "lists"),
+               dict: ("a JSON object", "JSON objects"),
+               type(None): ("null", "nulls")}
+
+
+def _fits(value, hint):
+    """Whether a parsed JSON value fits a type hint. A bool is never a
+    number, an int fits a float, a list fits a tuple when each element
+    fits, and X | None also takes null."""
+    if hint is float:
+        return finite_number(value)
+    if type(hint) is type:
+        return isinstance(value, hint) and not isinstance(value, bool)
+    if type(hint) is types.GenericAlias:   # tuple[X, ...]
+        each = hint.__args__[0]
+        return isinstance(value, list) and all(_fits(v, each) for v in value)
+    return any(_fits(value, h) for h in hint.__args__)   # X | Y
+
+
+def _describe(hint, many=False):
+    """What a value of the type hint is, in words; many: in the plural."""
+    if type(hint) is types.GenericAlias:
+        each = _describe(hint.__args__[0], many=True)
+        return f"lists of {each}" if many else f"a list of {each}"
+    if type(hint) is types.UnionType:
+        return " or ".join(_describe(h, many) for h in hint.__args__)
+    return _JSON_NAMES[hint][many]
+
+
+def check_object(where, raw, hints, optional=()):
+    """Raise a one-line DataError naming where unless raw is a JSON
+    object whose keys are keys of hints, each set to a value of its type
+    hint (int, float, str, list, dict, None, tuple[X, ...] for a list of
+    X, or a union of these), and which sets every key of hints that is
+    not in optional; the first key missing in the order of hints is
+    named."""
+    if not isinstance(raw, dict):
+        raise DataError(f"{where}: expected a JSON object, got {shown(raw)}")
+    for key, value in raw.items():
+        if key not in hints:
+            raise DataError(f"{where}: unknown field {key!r} "
+                            f"(expected one of {sorted(hints)})")
+        if not _fits(value, hints[key]):
+            raise DataError(f"{where}: field {key!r} is {shown(value)}, "
+                            f"expected {_describe(hints[key])}")
+    for key in hints:
+        if key not in raw and key not in optional:
+            raise DataError(f"{where}: missing field {key!r}")
 
 
 def write_json(path, payload):
@@ -132,28 +193,35 @@ class ManifestEntry:
 
 
 def integer_field(where, key, value, least):
-    """value if it is a JSON integer >= least, else a DataError naming
-    where and the field key."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise DataError(f"{where}: field {key!r} is {json.dumps(value)}, "
+    """value, an integer that check_object has passed, if it is >= least,
+    else a DataError naming where and the field key."""
+    if value < least:
+        raise DataError(f"{where}: field {key!r} is {shown(value)}, "
                         f"expected an integer >= {least}")
     return value
 
 
 def _label(where, value, c):
-    """The floats of a label that is a distribution over c classes, else
-    a DataError naming where and the field 'label'."""
-    if not (isinstance(value, list) and len(value) == c
-            and all(map(finite_number, value))):
-        raise DataError(f"{where}: field 'label' is not a list of {c} "
-                        "finite numbers")
+    """The floats of a label, a list of finite numbers, if it is a
+    distribution over c classes, else a DataError naming where and the
+    field 'label'."""
+    if len(value) != c:
+        raise DataError(f"{where}: field 'label' is {shown(value)}, "
+                        f"expected a list of {c} numbers")
     label = [float(x) for x in value]
     # entries in [0, 1] first, so that fsum cannot overflow
     if not (all(0.0 <= x <= 1.0 for x in label)
             and abs(math.fsum(label) - 1.0) <= 1e-9):
-        raise DataError(f"{where}: field 'label' is {json.dumps(value)}, "
+        raise DataError(f"{where}: field 'label' is {shown(value)}, "
                         "expected nonnegative numbers that sum to 1")
     return label
+
+
+_MANIFEST_HINTS = {"C": int, "D": int, "class_names": tuple[str, ...],
+                   "videos": list}
+_ENTRY_HINTS = {"id": str, "split": str, "T": int, "label": tuple[float, ...],
+                "rgb_file": str, "flow_file": str,
+                "gt_segments": tuple[tuple[int, ...], ...] | None}
 
 
 def read_manifest(directory):
@@ -163,67 +231,49 @@ def read_manifest(directory):
     field."""
     manifest_path = os.path.join(directory, "manifest.json")
     manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict):
-        raise DataError(f"{manifest_path}: expected a JSON object")
-    for key in ("C", "D", "class_names", "videos"):
-        if key not in manifest:
-            raise DataError(f"{manifest_path}: missing field {key!r}")
+    check_object(manifest_path, manifest, _MANIFEST_HINTS)
     c = integer_field(manifest_path, "C", manifest["C"], least=2)
     d = integer_field(manifest_path, "D", manifest["D"], least=1)
     class_names = manifest["class_names"]
-    entries = manifest["videos"]
-    if not (isinstance(class_names, list) and len(class_names) == c
-            and all(isinstance(name, str) for name in class_names)):
+    if len(class_names) != c:
         raise DataError(f"{manifest_path}: field 'class_names' is not a "
                         f"list of C = {c} strings")
     repeated = [n for i, n in enumerate(class_names) if n in class_names[:i]]
     if repeated:
         raise DataError(f"{manifest_path}: field 'class_names' is a list "
-                        f"that repeats {repeated[0]!r}")
-    if not isinstance(entries, list):
-        raise DataError(f"{manifest_path}: field 'videos' is not a list")
+                        f"that repeats {shown(repeated[0])}")
     splits = {"train": [], "test": []}
     seen = set()
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise DataError(f"{manifest_path}: video #{index} is not an "
-                            "object")
-        where = f"{manifest_path}: video {entry.get('id', f'#{index}')}"
-        for key in ("id", "T", "label", "rgb_file", "flow_file"):
-            if key not in entry:
-                raise DataError(f"{where}: missing field {key!r}")
-        for key in ("id", "rgb_file", "flow_file"):
-            if not isinstance(entry[key], str):
-                raise DataError(f"{where}: field {key!r} is "
-                                f"{json.dumps(entry[key])}, expected a string")
+    for index, entry in enumerate(manifest["videos"]):
+        video_id = entry.get("id") if isinstance(entry, dict) else None
         # plot and the pseudo-GT dump write one file named {id}.csv
-        if entry["id"] in ("", ".", "..") or {"/", "\0"} & set(entry["id"]):
-            raise DataError(f"{manifest_path}: video #{index}: field 'id' is "
-                            f"{json.dumps(entry['id'])}, expected a plain "
-                            "file name")
-        if entry["id"] in seen:
+        plain = (isinstance(video_id, str) and video_id not in ("", ".", "..")
+                 and not {"/", "\0"} & set(video_id))
+        where = f"{manifest_path}: video {video_id if plain else f'#{index}'}"
+        check_object(where, entry, _ENTRY_HINTS,
+                     optional=("split", "gt_segments"))
+        if not plain:
+            raise DataError(f"{where}: field 'id' is {shown(video_id)}, "
+                            "expected a plain file name")
+        if video_id in seen:
             raise DataError(f"{where}: repeated video id")
-        seen.add(entry["id"])
+        seen.add(video_id)
         split = entry.get("split", "train")
         if split not in ("train", "test"):
-            raise DataError(f"{where}: unknown split {split!r} (expected "
-                            "'train' or 'test')")
+            raise DataError(f"{where}: field 'split' is {shown(split)}, "
+                            'expected "train" or "test"')
         t = integer_field(where, "T", entry["T"], least=1)
         label = _label(where, entry["label"], c)
         gt = entry.get("gt_segments")
         if gt is not None:
-            if not (isinstance(gt, list) and all(
-                    isinstance(seg, list) and len(seg) == 3
-                    and all(type(v) is int for v in seg) for seg in gt)):
-                raise DataError(f"{where}: field 'gt_segments' is not a "
-                                "list of [start, end, category] integers")
             gt = [tuple(seg) for seg in gt]
-            for s, e, cat in gt:
-                if not (1 <= s <= e <= t) or not (1 <= cat <= c):
+            for seg in gt:
+                if not (len(seg) == 3 and 1 <= seg[0] <= seg[1] <= t
+                        and 1 <= seg[2] <= c):
                     raise DataError(f"{where}: field 'gt_segments' holds "
-                                    f"invalid segment {[s, e, cat]}")
+                                    f"invalid segment {shown(list(seg))}")
         splits[split].append(ManifestEntry(
-            id=entry["id"], label=label, num_snippets=t,
+            id=video_id, label=label, num_snippets=t,
             rgb_path=os.path.join(directory, entry["rgb_file"]),
             flow_path=os.path.join(directory, entry["flow_file"]),
             gt_segments=gt, where=where))

@@ -271,23 +271,6 @@ def _format_2f(values, sep):
     return fields
 
 
-# The x coordinates of a polyline depend on nothing but its number of
-# steps; a process keeps them formatted per number, as _TIMES keeps the
-# time column.
-_SVG_WIDTH = 640.0
-_X_FIELDS = {}
-
-
-def _x_fields(n):
-    """The x coordinates (i + 0.5) * 640 / n of i = 0, ..., n - 1,
-    formatted by _format_2f with separator ","."""
-    fields = _X_FIELDS.get(n)
-    if fields is None:
-        fields = _X_FIELDS[n] = _format_2f(
-            (np.arange(n) + 0.5) * (_SVG_WIDTH / n), ",")
-    return fields
-
-
 def _svg_polyline(x_fields, values, y0, height, color):
     """``x_fields`` are the x coordinates formatted by _format_2f with
     separator ",". The points string "x,y x,y ..." is one byte buffer with
@@ -304,15 +287,15 @@ def write_attention_svg(path, video, attention, proposals):
     """Small static figure: one row per upsampled attention sequence
     (rgb, flow, fused), ground-truth segments as gray boxes, proposals as
     green boxes. Each polyline's coordinates are formatted as "%.2f" from
-    arrays (``_format_2f``); the x coordinates once per process and
-    number of steps (``_x_fields``), for all three."""
+    arrays (``_format_2f``); the x coordinates once, for all three."""
     rgb, flow, fused = attention
-    width = _SVG_WIDTH
+    width = 640.0
     row_h = 60.0
     pad = 10.0
     t = video.num_snippets
     x_per_snippet = width / t
-    x_fields = _x_fields(len(rgb))
+    x_fields = _format_2f((np.arange(len(rgb)) + 0.5) * (width / len(rgb)),
+                          ",")
     rows = [("rgb", rgb, "#d62728"), ("flow", flow, "#1f77b4"),
             ("fuse", fused, "#2ca02c")]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '

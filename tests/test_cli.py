@@ -721,7 +721,7 @@ class TestLocalizeEval:
         err = capsys.readouterr().err
         assert "manifest.json" in err
         assert manifest["videos"][0]["id"] in err
-        assert "split 'val'" in err
+        assert 'field \'split\' is "val", expected "train" or "test"' in err
 
     @pytest.mark.parametrize("key,value", [
         ("label", "action_9"), ("label", None), ("score", None),
@@ -756,7 +756,7 @@ class TestLocalizeEval:
         (lambda videos: videos[1].update(id=videos[0]["id"]),
          "video train_0000: repeated video id"),
         (lambda videos: videos.__setitem__(1, "oops"),
-         "video #1 is not an object"),
+         'video #1: expected a JSON object, got "oops"'),
         (lambda videos: videos[1].update(T="abc"),
          "video train_0001: field 'T' is \"abc\""),
         (lambda videos: videos[1].update(T=0),
@@ -780,7 +780,8 @@ class TestLocalizeEval:
         (lambda videos: videos[1].update(rgb_file=5),
          "video train_0001: field 'rgb_file' is 5"),
         (lambda videos: videos[1].update(split=["test"]),
-         "video train_0001: unknown split"),
+         'video train_0001: field \'split\' is ["test"], expected a '
+         "string"),
         (lambda videos: videos[1].update(gt_segments=5),
          "video train_0001: field 'gt_segments'"),
         (lambda videos: videos[1].update(gt_segments=[[1, 2]]),
@@ -1293,16 +1294,109 @@ class TestRejectedInputs:
             f"error: {bad}: header: repeated key 'meta'\n"
 
 
+def first_test_entry(manifest):
+    return next(v for v in manifest["videos"] if v["split"] == "test")
+
+
+class TestUnknownKeys:
+    """A key that a manifest or a checkpoint header does not know is a
+    one-line data error, however close it is to a known one."""
+
+    @pytest.mark.parametrize("edit,video,key", [
+        (lambda m: first_test_entry(m).__setitem__(
+            "spilt", first_test_entry(m).pop("split")), "test_0000", "spilt"),
+        (lambda m: first_test_entry(m).__setitem__(
+            "gt_segment", first_test_entry(m).pop("gt_segments")),
+         "test_0000", "gt_segment"),
+        (lambda m: m.__setitem__("version", 2), None, "version"),
+    ], ids=["entry-spilt", "entry-gt_segment", "top-level"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unknown_manifest_key(self, workspace, proposals, tmp_path,
+                                  capsys, command, edit, video, key):
+        data = dataset_copy(workspace, tmp_path, None, "intact")
+        path = data / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        argv = {"train": ["train", "--config", str(workspace["config"])],
+                "eval": ["eval", "--proposals", str(proposals)]}[command]
+        assert cli.main(argv + ["--dataset", str(data),
+                                "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        where = f"{path}: video {video}" if video else str(path)
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {where}: unknown field {key!r} "
+                              "(expected one of "), err
+        assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+    @pytest.mark.parametrize("command", ["localize", "plot"])
+    def test_unknown_checkpoint_header_key(self, workspace, tmp_path, capsys,
+                                           command):
+        bad = tmp_path / "bad.ckpt"
+        edited_checkpoint(workspace, bad,
+                          lambda header, body: header.update(modalty="rgb"))
+        out = tmp_path / "out"
+        assert cli.main([command, "--checkpoint-rgb", str(bad),
+                         "--checkpoint-flow",
+                         str(workspace["run"] / "iter1_flow.ckpt"),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: unknown field 'modalty' (expected one of "
+            "['config', 'format', 'meta', 'modality', 'params'])\n")
+        assert not out.exists()
+
+    def test_echoed_value_is_bounded(self, workspace, proposals, tmp_path,
+                                     capsys):
+        data = dataset_copy(workspace, tmp_path, None, "intact")
+        path = data / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["videos"] = {v["id"]: v for v in manifest["videos"]}
+        path.write_text(json.dumps(manifest))
+        assert cli.main(["eval", "--proposals", str(proposals),
+                         "--dataset", str(data),
+                         "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: field 'videos' is "), err
+        assert err.endswith('..., expected a list\n'), err
+        assert len(err) < len(str(path)) + 120, err
+
+    def test_activitynet_proposals_keys_still_score(self, workspace,
+                                                    proposals, tmp_path):
+        """A proposals file's top level may carry ActivityNet's version
+        and external_data next to its results."""
+        extended = tmp_path / "extended.json"
+        extended.write_text(json.dumps({
+            **json.loads(proposals.read_text()), "version": "VERSION 1.3",
+            "external_data": {"used": False, "details": ""}}))
+        reports = []
+        for name, path in (("plain", proposals), ("extended", extended)):
+            assert cli.main(["eval", "--proposals", str(path),
+                             "--dataset", str(workspace["data"]),
+                             "--out", str(tmp_path / name)]) == 0
+            reports.append([(tmp_path / f"{name}.{ext}").read_bytes()
+                            for ext in ("json", "txt")])
+        assert reports[0] == reports[1]
+
+
 class TestUnreadableFiles:
     @pytest.mark.parametrize("target,defect", [
         ("proposals", "bytes"), ("config", "bytes"), ("manifest", "bytes"),
         ("pseudo-gt", "bytes"), ("proposals", "deep"), ("config", "deep"),
         ("manifest", "deep"), ("checkpoint", "deep"),
         ("eval-manifest", "bytes"), ("eval-manifest", "deep"),
+        # past Python's limit of 4300 digits for an integer
+        ("proposals", "long-int"), ("config", "long-int"),
+        ("manifest", "long-int"), ("eval-manifest", "long-int"),
+        # past the csv module's field limit of 131072 characters
+        ("pseudo-gt", "long-cell"),
     ])
     def test_unreadable_file_is_named(self, inputs, target, defect):
         content = {"bytes": b"\xff\xfe",
-                   "deep": b"[" * 100_000 + b"]" * 100_000}[defect]
+                   "deep": b"[" * 100_000 + b"]" * 100_000,
+                   "long-int": b"1" * 5000,
+                   "long-cell": b"snippet,pseudo_gt\r\n1," + b"0" * 200_000
+                   + b"\r\n"}[defect]
         if target == "checkpoint":
             content = struct.pack("<I", len(content)) + content
         path, argv = inputs[target]
