@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numkit
 from .config import ModelConfig
-from .formats import DataError, check_object, unique_keys
+from .formats import DataError, check_object, parse_json, shown
 
 CHECKPOINT_MAGIC = "wtal-checkpoint-v1"
 
@@ -217,13 +217,10 @@ def load_checkpoint(path):
         raise DataError(f"{path}: truncated checkpoint")
     (hlen,) = struct.unpack_from("<I", data)
     offset = 4 + hlen
-    try:
-        header = json.loads(data[4:offset].decode("utf-8"),
-                            object_pairs_hook=unique_keys)
-    except DataError as exc:
-        raise DataError(f"{path}: header: {exc}") from exc
-    except (ValueError, RecursionError):
-        header = None
+    if offset > len(data):   # most files of another kind end here
+        raise DataError(f"{path}: not a model checkpoint (a header of "
+                        f"{hlen} bytes runs past the end of the file)")
+    header = parse_json(f"{path}: header", data[4:offset])
     if not isinstance(header, dict) or \
             header.get("format") != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a model checkpoint (field 'format' "
@@ -247,8 +244,8 @@ def load_checkpoint(path):
         for entry in expected:
             name, shape = entry["name"], entry["shape"]
             if listed.get(name) != shape:
-                found = (f"has shape {listed[name]}" if name in listed
-                         else "is missing")
+                found = (f"has shape {shown(listed[name])}"
+                         if name in listed else "is missing")
                 raise DataError(f"{path}: field 'params': parameter "
                                 f"{name!r} {found}, expected shape {shape} "
                                 "from field 'config'")

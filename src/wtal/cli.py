@@ -14,7 +14,7 @@ import sys
 # commands that compute with them, so eval loads no numpy
 from . import evaluation, formats
 from .config import load_run_config, resolved_config, write_resolved_config
-from .formats import DataError, NumericError
+from .formats import DataError, NumericError, shown
 
 
 class UsageError(Exception):
@@ -118,7 +118,8 @@ def _load_inference_inputs(args):
         model, _ = basemodel.load_checkpoint(path)
         if model.modality != stream:
             raise DataError(f"{path}: checkpoint modality is "
-                            f"{model.modality!r}, expected {stream!r}")
+                            f"{shown(model.modality, repr)}, expected "
+                            f"{stream!r}")
         if (model.config.feature_dim != dataset.feature_dim
                 or model.config.num_classes != dataset.num_classes):
             raise DataError(f"{path}: checkpoint shape does not match "
@@ -159,8 +160,8 @@ def cmd_eval(args):
     for proposal in proposals:
         if proposal.video_id not in known:
             raise DataError(f"{args.proposals}: video "
-                            f"{proposal.video_id!r} is not a {args.split} "
-                            f"video of {manifest_path}")
+                            f"{shown(proposal.video_id, repr)} is not a "
+                            f"{args.split} video of {manifest_path}")
     report = evaluation.evaluate(proposals, gts,
                                  sections["evaluation"].thresholds,
                                  manifest.num_classes)

@@ -13,12 +13,14 @@ from .formats import DataError, check_object, read_json, shown, write_json
 
 
 def _check(config, names, expected, ok):
-    """A ValueError naming the first field of names whose value in config
-    fails ok, its value and what was expected of it."""
+    """A DataError naming the first field of names whose value in config
+    fails ok, its value and what was expected of it; the one wording of
+    a field-value rule, for the config sections and the generator's
+    settings alike."""
     for name in names:
         if not ok(value := getattr(config, name)):
-            raise ValueError(f"field {name!r} is {shown(value)}, "
-                             f"expected {expected}")
+            raise DataError(f"field {name!r} is {shown(value)}, "
+                            f"expected {expected}")
 
 
 def _odd(value):
@@ -102,17 +104,14 @@ class EvaluationConfig:
 
     def __post_init__(self):
         self.thresholds = tuple(self.thresholds)
-        if not self.thresholds:
-            raise ValueError("thresholds must not be empty")
-        if not all(0.0 < t <= 1.0 for t in self.thresholds):
-            raise ValueError("thresholds must lie in (0, 1]")
+        _check(self, ("thresholds",), "a non-empty list of numbers in (0, 1]",
+               lambda v: v and all(0.0 < t <= 1.0 for t in v))
         # report.txt labels each threshold f"{t:.2f}" and report.json
         # keys it f"{t:g}"; for distinct multiples of 0.01 both name each
         # one exactly
-        if (len(set(self.thresholds)) != len(self.thresholds)
-                or any(float(f"{t:.2f}") != t for t in self.thresholds)):
-            raise ValueError(f"thresholds {list(self.thresholds)} must be "
-                             "distinct multiples of 0.01")
+        _check(self, ("thresholds",), "distinct multiples of 0.01",
+               lambda v: len(set(v)) == len(v)
+               and all(float(f"{t:.2f}") == t for t in v))
 
 
 SECTIONS = {"model": ModelConfig, "loss": LossConfig,

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import basemodel, losses, numkit, parallel
-from .formats import DataError, NumericError, write_csv
+from .formats import DataError, NumericError, shown, write_csv
 from .numkit import fuse_attention
 
 STREAMS = ("rgb", "flow")
@@ -56,7 +56,7 @@ def load_pseudo_gt(path, num_snippets):
     bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
     if bad.size:
         raise DataError(f"{path}: 'pseudo_gt' of snippet {bad[0] + 1} is "
-                        f"{cells[bad[0]]!r}, not in [0, 1]")
+                        f"{shown(cells[bad[0]], repr)}, not in [0, 1]")
     return values
 
 

@@ -7,12 +7,13 @@ to the raw feature files, which this module never opens. A proposals
 file holds {"results": {video_id: [{label, score, segment}]}}. Both are
 read and written here, and every JSON file is written by write_json.
 Every CSV file (the training log, pseudo ground truth, plot data) is
-written by write_csv. Every reader checks what it reads and raises a
-one-line DataError naming the file and the field; check_object is the
-one check of a JSON object's keys and value types, for the config, the
-manifest and a checkpoint header alike. The module imports no
-numpy, so ``wtal eval``, which reads these two files and a config, never
-loads it.
+written by write_csv. parse_json is the one JSON parse and
+check_object the one check of a JSON object's keys and value types, for
+the config, the manifest, the proposals file and a checkpoint header
+alike. Every reader checks what it reads and raises a one-line
+DataError naming the file and the field, echoing an input through
+shown. The module imports no numpy, so ``wtal eval``, which reads these
+two files and a config, never loads it.
 """
 
 import json
@@ -63,32 +64,41 @@ def unique_keys(pairs):
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise DataError(f"repeated key {key!r}")
+                raise DataError(f"repeated key {shown(key, repr)}")
             seen.add(key)
     return obj
 
 
-def read_json(path):
-    """The JSON document in the file at path. A missing file, bytes that
-    are not UTF-8, invalid JSON, a key repeated within one object, an
-    integer too long to convert and nesting too deep to parse are each a
-    one-line DataError naming the path."""
+def parse_json(where, data):
+    """The JSON document in the bytes data, decoded as UTF-8. Bytes that
+    are not UTF-8 (a BOM included), invalid JSON, a key repeated within
+    one object, an integer too long to convert and nesting too deep to
+    parse are each a one-line DataError naming where."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
-    except FileNotFoundError as exc:
-        raise DataError(f"{path}: file not found") from exc
+        return json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON at line {exc.lineno}, column "
+        raise DataError(f"{where}: invalid JSON at line {exc.lineno}, column "
                         f"{exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        raise DataError(f"{where}: {exc}") from exc
 
 
-def shown(value):
-    """A parsed JSON value as a message shows it: its JSON text, cut
-    after 60 characters."""
-    text = json.dumps(value)
+def read_json(path):
+    """The JSON document in the file at path, by parse_json; a missing
+    file is a DataError naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError as exc:
+        raise DataError(f"{path}: file not found") from exc
+    return parse_json(path, data)
+
+
+def shown(value, form=json.dumps):
+    """value as a message shows it: form(value), by default its JSON
+    text, cut after 60 characters. Every message that echoes an input
+    echoes it through here."""
+    text = form(value)
     return text if len(text) <= 60 else text[:60] + "..."
 
 
@@ -133,7 +143,7 @@ def check_object(where, raw, hints, optional=()):
         raise DataError(f"{where}: expected a JSON object, got {shown(raw)}")
     for key, value in raw.items():
         if key not in hints:
-            raise DataError(f"{where}: unknown field {key!r} "
+            raise DataError(f"{where}: unknown field {shown(key, repr)} "
                             f"(expected one of {sorted(hints)})")
         if not _fits(value, hints[key]):
             raise DataError(f"{where}: field {key!r} is {shown(value)}, "
@@ -249,7 +259,8 @@ def read_manifest(directory):
         # plot and the pseudo-GT dump write one file named {id}.csv
         plain = (isinstance(video_id, str) and video_id not in ("", ".", "..")
                  and not {"/", "\0"} & set(video_id))
-        where = f"{manifest_path}: video {video_id if plain else f'#{index}'}"
+        shown_id = shown(video_id, str) if plain else f"#{index}"
+        where = f"{manifest_path}: video {shown_id}"
         check_object(where, entry, _ENTRY_HINTS,
                      optional=("split", "gt_segments"))
         if not plain:
@@ -336,44 +347,36 @@ def proposals_to_json(proposals, class_names):
     return {"results": results}
 
 
-def _proposal_from_json(video_id, entry, name_to_index):
-    def invalid(key, expected):
-        found = f"is {entry[key]!r}" if key in entry else "is missing"
-        return DataError(f"video {video_id}: field {key!r} {found}, "
-                         f"expected {expected}")
-
-    if not isinstance(entry, dict):
-        raise DataError(f"video {video_id}: proposal {entry!r} is not an "
-                        "object")
-    label = entry.get("label")
-    if not isinstance(label, str) or label not in name_to_index:
-        raise invalid("label", "one of the dataset's class names")
-    if not finite_number(entry.get("score")):
-        raise invalid("score", "a finite number")
-    segment = entry.get("segment")
-    if not (isinstance(segment, list) and len(segment) == 2
-            and all(map(finite_number, segment))
-            and segment[0] < segment[1]):
-        raise invalid("segment", "two finite numbers, start < end")
-    return ActionProposal(video_id=video_id, start=float(segment[0]),
-                          end=float(segment[1]),
-                          category=name_to_index[label],
-                          score=float(entry["score"]))
+_PROPOSALS_HINTS = {"results": dict, "version": str, "external_data": dict}
+_PROPOSAL_HINTS = {"label": str, "score": float, "segment": tuple[float, ...]}
 
 
-def proposals_from_json(payload, class_names):
-    """Proposals of a proposals_to_json payload; a malformed entry raises
-    DataError naming the video and the field."""
+def proposals_from_json(payload, class_names, where="proposals"):
+    """Proposals of a proposals_to_json payload, whose top level may also
+    hold ActivityNet's version and external_data; a fault is a one-line
+    DataError naming where, the video and the field."""
+    check_object(where, payload, _PROPOSALS_HINTS,
+                 optional=("version", "external_data"))
     name_to_index = {name: i + 1 for i, name in enumerate(class_names)}
-    results = payload.get("results") if isinstance(payload, dict) else None
-    if not isinstance(results, dict):
-        raise DataError("field 'results' is not an object of video ids")
     proposals = []
-    for video_id, entries in results.items():
+    for video_id, entries in payload["results"].items():
+        video = f"{where}: video {shown(video_id, str)}"
         if not isinstance(entries, list):
-            raise DataError(f"video {video_id}: proposals are not a list")
-        proposals.extend(_proposal_from_json(video_id, entry, name_to_index)
-                         for entry in entries)
+            raise DataError(f"{video}: proposals are not a list")
+        for entry in entries:
+            check_object(video, entry, _PROPOSAL_HINTS)
+            label, segment = entry["label"], entry["segment"]
+            if label not in name_to_index:
+                raise DataError(f"{video}: field 'label' is {shown(label)}, "
+                                "expected one of the dataset's class names")
+            if len(segment) != 2 or not segment[0] < segment[1]:
+                raise DataError(f"{video}: field 'segment' is "
+                                f"{shown(segment)}, expected two numbers, "
+                                "start < end")
+            proposals.append(ActionProposal(
+                video_id=video_id, start=float(segment[0]),
+                end=float(segment[1]), category=name_to_index[label],
+                score=float(entry["score"])))
     return proposals
 
 
@@ -382,8 +385,4 @@ def save_proposals(path, proposals, class_names):
 
 
 def load_proposals(path, class_names):
-    payload = read_json(path)
-    try:
-        return proposals_from_json(payload, class_names)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return proposals_from_json(read_json(path), class_names, where=path)

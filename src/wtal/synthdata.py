@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _check
 from .formats import (DataError, Dataset, feature_files, read_manifest,
                       write_manifest)
 
@@ -52,21 +53,17 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("num_train", 1), ("num_test", 0),
-                          ("num_classes", 2), ("feature_dim", 2),
-                          ("max_categories_per_video", 1)):
-            if (value := getattr(self, name)) < low:
-                raise DataError(f"field {name!r} is {value}, expected an "
-                                f"integer >= {low}")
-        for name in ("t_range", "actions_per_video", "action_length"):
-            lo, hi = getattr(self, name)
-            if lo > hi or lo < 1:
-                raise DataError(f"field {name!r} is {(lo, hi)}, expected "
-                                "(low, high) with 1 <= low <= high")
-        for name in ("rgb_false_positive_rate", "flow_miss_rate"):
-            if not 0.0 <= (rate := getattr(self, name)) <= 1.0:
-                raise DataError(f"field {name!r} must lie in [0, 1], got "
-                                f"{rate}")
+        _check(self, ("num_train",), "an integer >= 1", lambda v: v >= 1)
+        _check(self, ("num_test",), "an integer >= 0", lambda v: v >= 0)
+        _check(self, ("num_classes", "feature_dim"), "an integer >= 2",
+               lambda v: v >= 2)
+        _check(self, ("max_categories_per_video",), "an integer >= 1",
+               lambda v: v >= 1)
+        _check(self, ("t_range", "actions_per_video", "action_length"),
+               "[low, high] with 1 <= low <= high",
+               lambda v: len(v) == 2 and 1 <= v[0] <= v[1])
+        _check(self, ("rgb_false_positive_rate", "flow_miss_rate"),
+               "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
 
 @dataclass

@@ -241,7 +241,8 @@ class TestGenData:
         assert cli.main(["gen-data", "--flow-miss-rate", "1.5",
                          "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: field 'flow_miss_rate' must lie in [0, 1], got 1.5\n")
+            "error: field 'flow_miss_rate' is 1.5, expected a number in "
+            "[0, 1]\n")
         assert not out.exists()
 
     def test_negative_test_videos_is_data_error(self, tmp_path, capsys):
@@ -449,6 +450,9 @@ class TestTrain:
         ({"localization": {"upsample_factor": 0}},
          ["'localization'", "field 'upsample_factor' is 0, expected an "
           "integer >= 1"]),
+        ({"evaluation": {"thresholds": []}},
+         ["'evaluation'", "field 'thresholds' is [], expected a non-empty "
+          "list of numbers in (0, 1]"]),
     ], ids=["model-not-object", "beta-string", "iterations-float",
             "upsample-float", "s-float", "seed-string", "seed-negative",
             "evaluation-typo",
@@ -461,7 +465,7 @@ class TestTrain:
             "floor-above-1", "floor-negative", "beta-above-1",
             "kernel-negative", "kernel-even", "conv-layers-0", "s-0",
             "epochs-refine-0", "kind-unknown", "smoothing-negative-odd",
-            "smoothing-even", "upsample-0"])
+            "smoothing-even", "upsample-0", "thresholds-empty"])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_bad_config_is_one_line_data_error(self, workspace, tmp_path,
                                                capsys, command, config,
@@ -1293,6 +1297,35 @@ class TestRejectedInputs:
         assert capsys.readouterr().err == \
             f"error: {bad}: header: repeated key 'meta'\n"
 
+    @pytest.mark.parametrize("name", ["manifest.json", "train_0000_rgb.bin"])
+    def test_other_file_is_not_a_checkpoint(self, workspace, tmp_path,
+                                            capsys, name):
+        path = workspace["data"] / name
+        assert localize_with(workspace, path, tmp_path / "p.json") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: not a model checkpoint "), err
+
+    def test_checkpoint_header_parse_fault_is_named(self, workspace,
+                                                     tmp_path, capsys):
+        """A header that has the format but does not parse reports its
+        own fault, here an integer past Python's 4300-digit limit."""
+        run_dir = workspace["run"]
+        data = (run_dir / "iter1_rgb.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<I", data[:4])
+        blob = data[4:4 + hlen].replace(
+            b'"meta": {', b'"meta": {"long": ' + b"1" * 5000 + b", ", 1)
+        assert len(blob) > hlen + 5000
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(struct.pack("<I", len(blob)) + blob
+                        + data[4 + hlen:])
+        assert localize_with(workspace, bad, tmp_path / "p.json") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: header: Exceeds the limit "
+                              "(4300 digits)"), err
+        assert not (tmp_path / "p.json").exists()
+
 
 def first_test_entry(manifest):
     return next(v for v in manifest["videos"] if v["split"] == "test")
@@ -1361,6 +1394,29 @@ class TestUnknownKeys:
         assert err.endswith('..., expected a list\n'), err
         assert len(err) < len(str(path)) + 120, err
 
+    @pytest.mark.parametrize("key", ["versoin", "segmnet"])
+    def test_unknown_proposals_key(self, workspace, proposals, tmp_path,
+                                   capsys, key):
+        """A misspelled key of a proposals file, at its top level or in
+        an entry, is refused like a manifest's."""
+        payload = json.loads(proposals.read_text())
+        video_id, entries = next(iter(payload["results"].items()))
+        if key == "versoin":
+            payload[key], where = "VERSION 1.3", ""
+        else:
+            entries[0][key] = entries[0].pop("segment")
+            where = f": video {video_id}"
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["eval", "--proposals", str(path),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}{where}: unknown field "
+                              f"{key!r} (expected one of "), err
+        assert not list(tmp_path.glob("report*"))
+
     def test_activitynet_proposals_keys_still_score(self, workspace,
                                                     proposals, tmp_path):
         """A proposals file's top level may carry ActivityNet's version
@@ -1419,3 +1475,69 @@ class TestUnreadableFiles:
             assert code == 2, err
             assert err.count("\n") == 1
             assert str(path) in err, err
+
+
+LONG = "x" * 100_000
+
+
+def edited_json(edit):
+    """The bytes of a JSON file after edit(document) has changed its
+    document."""
+    def content(clean):
+        document = json.loads(clean)
+        edit(document)
+        return json.dumps(document).encode("utf-8")
+    return content
+
+
+def edited_header(edit):
+    """The bytes of a checkpoint after edit(header) has changed its
+    header."""
+    def content(clean):
+        (hlen,) = struct.unpack("<I", clean[:4])
+        header = json.loads(clean[4:4 + hlen])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        return struct.pack("<I", len(blob)) + blob + clean[4 + hlen:]
+    return content
+
+
+def long_cell(clean):
+    """The bytes of a pseudo-GT CSV whose first value is LONG digits."""
+    lines = clean.decode("utf-8").split("\r\n")
+    lines[1] = "1," + "2" * len(LONG)
+    return "\r\n".join(lines).encode("utf-8")
+
+
+def first_video(manifest):
+    """Set the id of a manifest's first video to LONG and its T to 0."""
+    manifest["videos"][0].update(id=LONG, T=0)
+
+
+class TestBoundedEcho:
+    """A message that echoes a long input value cuts it after 60
+    characters, whatever the input and the command."""
+
+    @pytest.mark.parametrize("target,content", [
+        ("proposals", edited_json(lambda p: p.update(
+            results={LONG: next(iter(p["results"].values()))}))),
+        ("proposals", edited_json(lambda p: p.update(results={LONG: 5}))),
+        ("checkpoint", edited_header(lambda h: h.update(modality=LONG))),
+        ("checkpoint", edited_header(
+            lambda h: h["params"][2].update(shape=[4] * len(LONG)))),
+        ("pseudo-gt", long_cell),
+        ("config", ('{"%s": {}, "%s": {}}' % (LONG, LONG)).encode()),
+        ("config", ('{"%s": {}}' % LONG).encode()),
+        ("eval-manifest", edited_json(first_video)),
+    ], ids=["eval-video-id", "proposals-video-id", "checkpoint-modality",
+            "checkpoint-shape", "pseudo-gt-cell", "repeated-key", "unknown-key",
+            "manifest-video-id"])
+    def test_long_value_is_cut(self, inputs, target, content):
+        path, argv = inputs[target]
+        if callable(content):
+            content = content(path.read_bytes())
+        code, err = run_with(path, content, argv)
+        assert code == 2, err[:300]
+        assert err.count("\n") == 1
+        assert len(err) < 300, err[:300]
+        assert "..." in err, err

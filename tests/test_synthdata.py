@@ -121,7 +121,7 @@ class TestGenerate:
         with pytest.raises(DataError, match="^field 'feature_dim' is 1, "):
             small_config(feature_dim=1)
         with pytest.raises(DataError,
-                           match=r"^field 't_range' is \(30, 20\), "):
+                           match=r"^field 't_range' is \[30, 20\], "):
             small_config(t_range=(30, 20))
         with pytest.raises(DataError, match="^field 'flow_miss_rate' "):
             small_config(flow_miss_rate=1.5)
