@@ -122,10 +122,8 @@ SECTIONS = {"model": ModelConfig, "loss": LossConfig,
 def _settable(cls):
     """{field name: default} of the fields a config may set; a field
     without a default (the model's shape) comes from the dataset."""
-    missing = dataclasses.MISSING
-    return {f.name: f.default_factory() if f.default is missing
-            else f.default for f in dataclasses.fields(cls)
-            if (f.default, f.default_factory) != (missing, missing)}
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
 
 
 def load_run_config(path):

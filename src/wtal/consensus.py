@@ -5,7 +5,9 @@ Iteration 0 trains both streams with the video-level objective only.
 Before every later iteration, the per-stream checkpoints with the lowest
 epoch-mean loss from the previous iteration produce a fused attention
 sequence per training video, which becomes the frame-level pseudo ground
-truth for the next round of training.
+truth for the next round of training. The pseudo-GT helpers take the
+float64 arrays of ``basemodel.forward`` and of each other as they are;
+``make_pseudo_gt`` keeps its one guard, fused attention in [0, 1].
 """
 
 import csv
@@ -31,7 +33,7 @@ FORK_MIN_WORK = 33000
 
 def save_pseudo_gt(path, values):
     """CSV with header "snippet,pseudo_gt", one row per 1-based snippet."""
-    values = np.asarray(values, dtype=np.float64).tolist()
+    values = values.tolist()
     write_csv(path, ["snippet", "pseudo_gt"],
               [range(1, len(values) + 1), values])
 
@@ -61,16 +63,13 @@ def load_pseudo_gt(path, num_snippets):
 
 
 def max_pool_smooth(attention, kernel):
-    """Temporal max pooling, stride 1, centered windows truncated at the
-    sequence boundaries (no padding). A NaN in a window makes its max
-    NaN; the max of +0.0 and -0.0 may be either. The kernel is odd (a
-    checked ``RefinementConfig.smoothing_kernel``)."""
-    a = np.asarray(attention, dtype=np.float64)
-    if not a.size:
-        return a.copy()
+    """Temporal max pooling of T >= 1 values, stride 1, centered windows
+    truncated at the sequence boundaries (no padding). A NaN in a window
+    makes its max NaN; the max of +0.0 and -0.0 may be either. The kernel
+    is odd (a checked ``RefinementConfig.smoothing_kernel``)."""
     # -inf outside the sequence is never a window's max, so the windows of
     # the padded copy have the maxima of the truncated ones
-    padded = np.pad(a, kernel // 2, constant_values=-np.inf)
+    padded = np.pad(attention, kernel // 2, constant_values=-np.inf)
     return sliding_window_view(padded, kernel).max(axis=1)
 
 
@@ -78,7 +77,6 @@ def make_pseudo_gt(fused, kind, theta):
     """Frame-level pseudo GT values of kind "soft" or "hard". Soft: a copy
     of the fused attention. Hard: 1 where fused > theta else 0 (strict
     inequality, so a value equal to theta maps to 0)."""
-    fused = np.asarray(fused, dtype=np.float64)
     # written so that NaN, which fails every comparison, is rejected too
     if not np.all((fused >= 0.0) & (fused <= 1.0)):
         raise ValueError("fused attention must lie in [0, 1]")

@@ -94,7 +94,15 @@ def read_json(path):
     return parse_json(path, data)
 
 
-def shown(value, form=json.dumps):
+def _json_text(value):
+    """value's JSON text. A value json cannot encode is written as its
+    Python value, ``item()``, if it has one (a numpy scalar), else as its
+    repr."""
+    return json.dumps(
+        value, default=lambda v: v.item() if hasattr(v, "item") else repr(v))
+
+
+def shown(value, form=_json_text):
     """value as a message shows it: form(value), by default its JSON
     text, cut after 60 characters. Every message that echoes an input
     echoes it through here."""

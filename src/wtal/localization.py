@@ -5,7 +5,9 @@ prediction, upsample by a fixed factor via linear interpolation, pick the
 top-k video-level categories, threshold the attention at 0.5 to get
 candidate segments, and score every (segment, category) pair with an
 outer-inner contrastive score on the attention-weighted T-CAM. Proposals
-with non-positive scores are discarded.
+with non-positive scores are discarded. The numeric functions take the
+float64 arrays of ``basemodel.infer`` (or arrays computed from them) as
+they are; none converts its input.
 """
 
 import math
@@ -24,22 +26,21 @@ def upsample_linear(sequence, factor):
     """Linear upsampling of a nonempty sequence by an integer factor >= 1;
     output index j reads source coordinate (j + 0.5) / factor - 0.5,
     clamped to [0, T-1]. Matrices are upsampled per column."""
-    seq = np.asarray(sequence, dtype=np.float64)
-    t = seq.shape[0]
+    t = sequence.shape[0]
     j = np.arange(t * factor)
     p = np.clip((j + 0.5) / factor - 0.5, 0.0, t - 1.0)
     i0 = np.floor(p).astype(int)
     i1 = np.minimum(i0 + 1, t - 1)
     frac = p - i0
-    if seq.ndim == 1:
-        return (1.0 - frac) * seq[i0] + frac * seq[i1]
-    return (1.0 - frac)[:, None] * seq[i0] + frac[:, None] * seq[i1]
+    if sequence.ndim == 1:
+        return (1.0 - frac) * sequence[i0] + frac * sequence[i1]
+    return ((1.0 - frac)[:, None] * sequence[i0]
+            + frac[:, None] * sequence[i1])
 
 
 def select_categories(probs, top_k, floor):
     """Top-k categories (1-based) by fused probability, excluding any with
     probability strictly below the floor. Ties break on lower index."""
-    probs = np.asarray(probs, dtype=np.float64)
     order = np.argsort(-probs, kind="stable")[:top_k]
     return [int(i) + 1 for i in order if probs[i] >= floor]
 
@@ -47,7 +48,7 @@ def select_categories(probs, top_k, floor):
 def extract_segments(attention, threshold):
     """Maximal runs of attention > threshold (strict), as 1-based
     inclusive index pairs, sorted and disjoint."""
-    above = np.asarray(attention, dtype=np.float64) > threshold
+    above = attention > threshold
     # padded by off at both ends, the mask changes at each run's 0-based
     # start and again at its 1-based inclusive end
     mask = np.zeros(above.size + 2, dtype=bool)
@@ -66,15 +67,14 @@ def oic_score(start, end, weights):
     outward and clamped to the sequence. Lengths count snippets
     (end - start + 1); if clamping leaves no margin the outer term is 0.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    t = w.shape[0]
+    t = weights.shape[0]
     length = end - start
     outer_start = max(1, math.floor(start - length / 4.0))
     outer_end = min(t, math.ceil(end + length / 4.0))
-    inner_sum = float(w[start - 1:end].sum())
+    inner_sum = float(weights[start - 1:end].sum())
     inner_len = end - start + 1
     inner_mean = inner_sum / inner_len
-    outer_sum = float(w[outer_start - 1:outer_end].sum())
+    outer_sum = float(weights[outer_start - 1:outer_end].sum())
     outer_len = outer_end - outer_start + 1
     if outer_len == inner_len:
         return inner_mean

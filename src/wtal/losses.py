@@ -2,11 +2,12 @@
 pseudo-ground-truth MSE, and their weighted combination.
 
 Each loss returns its value together with the gradient needed by the
-model's backward pass. The losses take what the model and the trainer
-hand them and check none of it: a label and a prediction of the model's
-C classes, and an attention sequence and pseudo GT of the video's T >= 1
-snippets (the manifest refuses a video without one). Only
-``consensus.run_refinement`` passes pseudo GT, and never at iteration 0.
+model's backward pass. The losses take the float64 arrays the model and
+the trainer hand them and neither convert nor check any of it: a label
+and a prediction of the model's C classes, and an attention sequence and
+pseudo GT of the video's T >= 1 snippets (the manifest refuses a video
+without one). Only ``consensus.run_refinement`` passes pseudo GT, and
+never at iteration 0.
 """
 
 import numpy as np
@@ -16,15 +17,11 @@ LOG_FLOOR = 1e-12
 
 def classification_loss(y, y_hat):
     """Cross entropy -sum y_c log(y_hat_c) with a 1e-12 floor inside log."""
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
     return float(-(y * np.log(np.maximum(y_hat, LOG_FLOOR))).sum())
 
 
 def classification_loss_grad(y, y_hat):
     """Gradient of classification_loss w.r.t. y_hat."""
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
     return -y / np.maximum(y_hat, LOG_FLOOR)
 
 
@@ -36,14 +33,13 @@ def attention_norm_loss(attention, s):
     top entries and +1/l on selected bottom entries, summed where an
     index lands in both sets (possible when 2l > T).
     """
-    a = np.asarray(attention, dtype=np.float64)
-    t = a.shape[0]
+    t = attention.shape[0]
     l = max(1, t // int(s))
-    ascending = np.argsort(a, kind="stable")
+    ascending = np.argsort(attention, kind="stable")
     bottom = ascending[:l]
-    descending = np.argsort(-a, kind="stable")
+    descending = np.argsort(-attention, kind="stable")
     top = descending[:l]
-    value = float(a[bottom].mean() - a[top].mean())
+    value = float(attention[bottom].mean() - attention[top].mean())
     grad = np.zeros(t)
     np.add.at(grad, bottom, 1.0 / l)
     np.add.at(grad, top, -1.0 / l)
@@ -52,11 +48,9 @@ def attention_norm_loss(attention, s):
 
 def pseudo_gt_loss(attention, gt):
     """Mean squared error between the attention sequence and pseudo GT."""
-    a = np.asarray(attention, dtype=np.float64)
-    g = np.asarray(gt, dtype=np.float64)
-    diff = a - g
+    diff = attention - gt
     value = float(np.mean(diff * diff))
-    grad = 2.0 * diff / a.shape[0]
+    grad = 2.0 * diff / attention.shape[0]
     return value, grad
 
 

@@ -2,12 +2,14 @@
 passes, the convex fusion of two streams, the Adam optimizer, and a
 finite-difference gradient checker.
 
-All arrays are float64 numpy arrays, and the layer kernels convert none
-of their inputs. Nor do they check them: the shapes they get are the
-ones ``basemodel.param_layout`` builds from a checked ``ModelConfig``,
-and the fusion weight is a checked ``RefinementConfig.beta`` (or 1 or 0,
-a single stream). Every backward function is a pure function of the
-recorded forward inputs, so there is no tape.
+All arrays are float64 numpy arrays, and no function here converts its
+inputs (``basemodel.forward`` converts the features, the one conversion
+outside the readers). Nor do they check them: the shapes they get are
+the ones ``basemodel.param_layout`` builds from a checked
+``ModelConfig``, and the fusion weight is a checked
+``RefinementConfig.beta`` (or 1 or 0, a single stream). Every backward
+function is a pure function of the recorded forward inputs, so there is
+no tape.
 """
 
 from dataclasses import dataclass
@@ -123,8 +125,6 @@ def softmax_backward(probs, d_probs):
 def fuse_attention(rgb, flow, beta):
     """Convex combination beta*rgb + (1-beta)*flow, elementwise, of two
     outputs of the same shape; beta lies in [0, 1]."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    flow = np.asarray(flow, dtype=np.float64)
     return beta * rgb + (1.0 - beta) * flow
 
 

@@ -85,7 +85,7 @@ def write_attention_csv(path, attention, factor, pseudo=None):
     if pseudo is not None:
         header.append("pseudo_gt")
         values.append(pseudo)
-    texts = _format_repr(np.concatenate(values, dtype=np.float64))
+    texts = _format_repr(np.concatenate(values))
     columns = [_time_column(n, factor)]
     columns += [texts[i * n:(i + 1) * n] for i in range(3)]
     if pseudo is not None:
@@ -122,7 +122,6 @@ def _shortest_digits(values):
     ``fast``, the shortest decimal that parses back to v is the int64
     ``digits``, a 17-digit integer, times 10**(e - 16), with its trailing
     zeros dropped; elsewhere ``digits`` is 10**16."""
-    values = np.asarray(values, dtype=np.float64)
     domain = (values >= 1e-10) & (values < 1.0)
     v = np.where(domain, values, 0.5)
     f, exp2 = np.frexp(v)
@@ -193,7 +192,6 @@ def _format_repr(values):
     """repr(float(v)) of each value of a float64 array, as a list of str.
     Values in [1e-10, 1) are formatted from arrays (``_shortest_digits``),
     each other value by repr."""
-    values = np.asarray(values, dtype=np.float64)
     digits, e, fast = _shortest_digits(values)
     first = digits // _POW10[16]
     rest = digits - first * _POW10[16]
@@ -250,7 +248,6 @@ _SEPARATOR = {sep: _words(["\0" * 7 + sep])[0] for sep in ", "}
 def _format_2f(values, sep):
     """``f"{v:.2f}{sep}"`` of each value of a float64 array, in ASCII, as
     the rows of a uint8 array; zero bytes in a row are padding."""
-    values = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         s = values * 100.0
         eighths = values * 8.0
@@ -275,7 +272,6 @@ def _svg_polyline(x_fields, values, y0, height, color):
     """``x_fields`` are the x coordinates formatted by _format_2f with
     separator ",". The points string "x,y x,y ..." is one byte buffer with
     its padding dropped, decoded once."""
-    values = np.asarray(values, dtype=np.float64)
     y_fields = _format_2f(y0 + height * (1.0 - values), " ")
     buf = np.concatenate([x_fields, y_fields], axis=1).reshape(-1)
     points = buf[buf != 0].tobytes().decode("ascii")[:-1]

@@ -141,7 +141,7 @@ def generate(config):
         n_actions = int(rng.integers(config.actions_per_video[0],
                                      config.actions_per_video[1] + 1))
         n_cats = int(rng.integers(1, config.max_categories_per_video + 1))
-        cats = rng.choice(c, size=min(n_cats, n_actions), replace=False)
+        cats = rng.choice(c, size=min(n_cats, n_actions, c), replace=False)
         action_cats = [int(cats[i % len(cats)]) for i in range(n_actions)]
         lengths = [int(rng.integers(config.action_length[0],
                                     config.action_length[1] + 1))

@@ -158,16 +158,19 @@ class TestGradientSuite:
 class TestLossOracles:
     def test_loss_value_oracles(self, report):
         checks = [
-            abs(losses.classification_loss([1.0, 0.0], [0.25, 0.75])
+            abs(losses.classification_loss(np.array([1.0, 0.0]),
+                                           np.array([0.25, 0.75]))
                 - 1.3862943611198906),
-            abs(losses.classification_loss([0.5, 0.5], [0.5, 0.5])
+            abs(losses.classification_loss(np.array([0.5, 0.5]),
+                                           np.array([0.5, 0.5]))
                 - np.log(2.0)),
-            abs(losses.attention_norm_loss([0.9, 0.8, 0.1, 0.2], 8)[0]
-                - (-0.8)),
-            abs(losses.attention_norm_loss([1.0, 1.0, 0.0, 0.0], 2)[0]
-                - (-1.0)),
-            abs(losses.pseudo_gt_loss([0.2, 0.9, 0.4],
-                                      [0.0, 1.0, 1.0])[0] - 0.41 / 3.0),
+            abs(losses.attention_norm_loss(
+                np.array([0.9, 0.8, 0.1, 0.2]), 8)[0] - (-0.8)),
+            abs(losses.attention_norm_loss(
+                np.array([1.0, 1.0, 0.0, 0.0]), 2)[0] - (-1.0)),
+            abs(losses.pseudo_gt_loss(np.array([0.2, 0.9, 0.4]),
+                                      np.array([0.0, 1.0, 1.0]))[0]
+                - 0.41 / 3.0),
             abs(losses.total_loss(1.0, -0.5, LossConfig(alpha=0.1))
                 - 0.95),
             abs(losses.total_loss(1.0, -1.0, LossConfig(alpha=0.1,
@@ -224,7 +227,8 @@ class TestPseudoGtContracts:
         for pseudo in result.pseudo_gt[1:]:
             for gt_obj in pseudo.values():
                 ok &= set(np.unique(gt_obj)) <= {0.0, 1.0}
-        boundary = consensus.make_pseudo_gt([0.6, 0.5, 0.4], "hard", 0.5)
+        boundary = consensus.make_pseudo_gt(np.array([0.6, 0.5, 0.4]),
+                                            "hard", 0.5)
         ok &= list(boundary) == [1.0, 0.0, 0.0]
         # soft pseudo GT equals the fused attention exactly
         fused = np.array([0.12, 0.5, 0.93])

@@ -48,7 +48,7 @@ class TestFuseAttention:
 
     def test_single_element_arithmetic(self):
         np.testing.assert_allclose(
-            fuse_attention([1.0], [0.0], 0.4), [0.4])
+            fuse_attention(np.array([1.0]), np.array([0.0]), 0.4), [0.4])
 
     def test_equal_inputs_fixed_point(self):
         a = np.array([0.2, 0.6])
@@ -82,7 +82,7 @@ class TestMaxPoolSmooth:
         np.testing.assert_array_equal(max_pool_smooth(a, 1), a)
 
     def test_hand_windowing_truncated_boundaries(self):
-        out = max_pool_smooth([0.0, 1.0, 0.0, 0.0, 0.0], 3)
+        out = max_pool_smooth(np.array([0.0, 1.0, 0.0, 0.0, 0.0]), 3)
         np.testing.assert_array_equal(out, [1.0, 1.0, 1.0, 0.0, 0.0])
 
     def test_constant_unchanged(self):
@@ -113,21 +113,22 @@ class TestMaxPoolSmooth:
     # every float, NaN and +-inf among them; assert_array_equal counts NaN
     # equal to NaN and +0.0 equal to -0.0, whose max may be either
     @settings(max_examples=300, deadline=None)
-    @given(values=st.lists(st.floats() | st.floats(0.0, 1.0), max_size=40),
+    @given(values=st.lists(st.floats() | st.floats(0.0, 1.0), min_size=1,
+                           max_size=40),
            kernel=st.integers(0, 25).map(lambda k: 2 * k + 1))
     def test_matches_reference_loop(self, values, kernel):
-        out = max_pool_smooth(values, kernel)
+        out = max_pool_smooth(np.array(values), kernel)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, self.reference(values, kernel))
 
 
 class TestMakePseudoGt:
     def test_hard_strict_at_threshold(self):
-        gt = make_pseudo_gt([0.6, 0.5, 0.4], "hard", 0.5)
+        gt = make_pseudo_gt(np.array([0.6, 0.5, 0.4]), "hard", 0.5)
         np.testing.assert_array_equal(gt, [1.0, 0.0, 0.0])
 
     def test_hard_other_threshold(self):
-        gt = make_pseudo_gt([0.56, 0.54], "hard", 0.55)
+        gt = make_pseudo_gt(np.array([0.56, 0.54]), "hard", 0.55)
         np.testing.assert_array_equal(gt, [1.0, 0.0])
 
     def test_soft_copies_input(self):
@@ -145,13 +146,13 @@ class TestMakePseudoGt:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            make_pseudo_gt([1.2], "soft", 0.5)
+            make_pseudo_gt(np.array([1.2]), "soft", 0.5)
 
     @pytest.mark.parametrize("kind", ["hard", "soft"])
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, -1e-300])
     def test_value_outside_unit_interval_rejected(self, kind, bad):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            make_pseudo_gt([0.2, bad, 0.9], kind, 0.5)
+            make_pseudo_gt(np.array([0.2, bad, 0.9]), kind, 0.5)
 
 
 class TestPseudoGtCsv:
@@ -163,7 +164,8 @@ class TestPseudoGtCsv:
         np.testing.assert_array_equal(load_pseudo_gt(path, 17), values)
 
     @pytest.mark.parametrize("values", [
-        [], [0.5], [0.0, 1.0, 1e-17, 0.1 + 0.2, float("nan"), 5e-324],
+        np.array([]), np.array([0.5]),
+        np.array([0.0, 1.0, 1e-17, 0.1 + 0.2, float("nan"), 5e-324]),
         np.random.default_rng(4).uniform(size=300)])
     def test_bytes_match_csv_writer(self, tmp_path, values):
         save_pseudo_gt(tmp_path / "new.csv", values)
@@ -178,7 +180,7 @@ class TestPseudoGtCsv:
 
     def test_row_count_must_match(self, tmp_path):
         path = tmp_path / "v.csv"
-        save_pseudo_gt(path, [0.0, 1.0])
+        save_pseudo_gt(path, np.array([0.0, 1.0]))
         with pytest.raises(synthdata.DataError, match="expected 3"):
             load_pseudo_gt(path, 3)
 

@@ -3,11 +3,15 @@ decoding its bytes as UTF-8 and nothing else."""
 
 import ast
 import pathlib
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wtal import formats
+from wtal.config import LossConfig, ModelConfig
 from wtal.formats import DataError
+from wtal.synthdata import GeneratorConfig
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wtal"
 
@@ -48,6 +52,22 @@ def test_parse_names_where():
         formats.parse_json("doc", b'{"a": }')
     assert str(info.value) == \
         "doc: invalid JSON at line 1, column 7: Expecting value"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GeneratorConfig(num_train=np.int64(0)),
+     "field 'num_train' is 0, expected an integer >= 1"),
+    (lambda: GeneratorConfig(flow_miss_rate=np.float32(2.0)),
+     "field 'flow_miss_rate' is 2.0, expected a number in [0, 1]"),
+    (lambda: ModelConfig(feature_dim=np.int64(0), num_classes=3),
+     "field 'feature_dim' is 0, expected an integer >= 1"),
+    (lambda: LossConfig(alpha=Fraction(-1)),
+     """field 'alpha' is "Fraction(-1, 1)", expected a number >= 0""")],
+    ids=["int64", "float32", "model-int64", "fraction"])
+def test_shown_echoes_what_json_cannot_encode(make, message):
+    with pytest.raises(DataError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_shown_cuts_after_60_characters():

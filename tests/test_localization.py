@@ -53,20 +53,22 @@ class TestUpsampleLinear:
 
 class TestSelectCategories:
     def test_top_two_above_floor(self):
-        assert select_categories([0.7, 0.2, 0.1], 2, 0.1) == [1, 2]
+        assert select_categories(np.array([0.7, 0.2, 0.1]), 2, 0.1) == [1, 2]
 
     def test_floor_rejects_weak_second(self):
-        assert select_categories([0.95, 0.03, 0.02], 2, 0.1) == [1]
+        assert select_categories(np.array([0.95, 0.03, 0.02]), 2,
+                                 0.1) == [1]
 
     def test_uniform_tie_breaks_by_index(self):
         third = 1.0 / 3.0
-        assert select_categories([third, third, third], 2, 0.1) == [1, 2]
+        assert select_categories(np.full(3, third), 2, 0.1) == [1, 2]
 
     def test_floor_is_not_strict(self):
-        assert select_categories([0.9, 0.1], 2, 0.1) == [1, 2]
+        assert select_categories(np.array([0.9, 0.1]), 2, 0.1) == [1, 2]
 
     def test_may_be_empty(self):
-        assert select_categories([0.05, 0.05, 0.9], 2, 0.95) == []
+        assert select_categories(np.array([0.05, 0.05, 0.9]), 2,
+                                 0.95) == []
 
 
 def reference_segments(attention, threshold):
@@ -98,24 +100,25 @@ class TestExtractSegments:
             assert type(pair) is tuple
             assert all(type(i) is int for i in pair)
 
-    @pytest.mark.parametrize("values", [[0.6], [0.5], [0.4], [0.9] * 7,
-                                        [0.1] * 7, []])
+    @pytest.mark.parametrize("values", [
+        np.array(values) for values in ([0.6], [0.5], [0.4], [0.9] * 7,
+                                        [0.1] * 7, [])])
     def test_edge_masks_match_reference_loop(self, values):
         assert extract_segments(values, 0.5) == \
             reference_segments(values, 0.5)
 
     def test_two_runs(self):
-        segs = extract_segments([0.2, 0.7, 0.8, 0.3, 0.9], 0.5)
+        segs = extract_segments(np.array([0.2, 0.7, 0.8, 0.3, 0.9]), 0.5)
         assert segs == [(2, 3), (5, 5)]
 
     def test_all_below(self):
-        assert extract_segments([0.1, 0.2, 0.3], 0.5) == []
+        assert extract_segments(np.array([0.1, 0.2, 0.3]), 0.5) == []
 
     def test_all_above(self):
-        assert extract_segments([0.9, 0.8, 0.7], 0.5) == [(1, 3)]
+        assert extract_segments(np.array([0.9, 0.8, 0.7]), 0.5) == [(1, 3)]
 
     def test_threshold_is_strict(self):
-        assert extract_segments([0.5, 0.6, 0.5], 0.5) == [(2, 2)]
+        assert extract_segments(np.array([0.5, 0.6, 0.5]), 0.5) == [(2, 2)]
 
     def test_runs_disjoint_sorted_maximal(self):
         rng = np.random.default_rng(14)

@@ -14,14 +14,17 @@ from wtal.losses import (attention_norm_loss, classification_loss,
 
 class TestClassificationLoss:
     def test_perfect_prediction(self):
-        assert classification_loss([1.0, 0.0], [1.0, 0.0]) == 0.0
+        assert classification_loss(np.array([1.0, 0.0]),
+                                   np.array([1.0, 0.0])) == 0.0
 
     def test_symmetric_half(self):
-        val = classification_loss([0.5, 0.5], [0.5, 0.5])
+        val = classification_loss(np.array([0.5, 0.5]),
+                                  np.array([0.5, 0.5]))
         assert abs(val - math.log(2.0)) < 1e-12
 
     def test_hand_value(self):
-        val = classification_loss([1.0, 0.0], [0.25, 0.75])
+        val = classification_loss(np.array([1.0, 0.0]),
+                                  np.array([0.25, 0.75]))
         assert abs(val - 1.3862943611198906) < 1e-9
 
     def test_nonnegative(self):
@@ -36,7 +39,8 @@ class TestClassificationLoss:
             assert classification_loss(y, y_hat) >= 0.0
 
     def test_zero_prediction_hits_log_floor(self):
-        val = classification_loss([1.0, 0.0], [0.0, 1.0])
+        val = classification_loss(np.array([1.0, 0.0]),
+                                  np.array([0.0, 1.0]))
         assert abs(val - (-math.log(1e-12))) < 1e-6
 
     @pytest.mark.parametrize("seed", range(10))
@@ -62,11 +66,11 @@ class TestAttentionNormLoss:
         np.testing.assert_allclose(grad, np.zeros(10))
 
     def test_extreme_sequence(self):
-        val, _ = attention_norm_loss([1.0, 1.0, 0.0, 0.0], 2)
+        val, _ = attention_norm_loss(np.array([1.0, 1.0, 0.0, 0.0]), 2)
         assert val == -1.0
 
     def test_hand_value(self):
-        val, grad = attention_norm_loss([0.9, 0.8, 0.1, 0.2], 8)
+        val, grad = attention_norm_loss(np.array([0.9, 0.8, 0.1, 0.2]), 8)
         assert abs(val - (-0.8)) < 1e-12
         np.testing.assert_allclose(grad, [-1.0, 0.0, 1.0, 0.0])
 
@@ -81,20 +85,20 @@ class TestAttentionNormLoss:
                 assert val < 0.0
 
     def test_zero_iff_constant(self):
-        val, _ = attention_norm_loss([0.3, 0.3, 0.3], 8)
+        val, _ = attention_norm_loss(np.array([0.3, 0.3, 0.3]), 8)
         assert val == 0.0
-        val, _ = attention_norm_loss([0.3, 0.3001, 0.3], 8)
+        val, _ = attention_norm_loss(np.array([0.3, 0.3001, 0.3]), 8)
         assert val < 0.0
 
     def test_tie_break_lowest_index_first(self):
         # duplicated max at indices 0 and 2; duplicated min at 1 and 3.
         # index selection must charge the earliest occurrences.
-        _, grad = attention_norm_loss([0.9, 0.1, 0.9, 0.1], 4)
+        _, grad = attention_norm_loss(np.array([0.9, 0.1, 0.9, 0.1]), 4)
         np.testing.assert_allclose(grad, [-1.0, 1.0, 0.0, 0.0])
 
     def test_overlap_when_l_exceeds_half(self):
         # T=3, s=1 -> l=3: every index is in both the top and bottom set
-        val, grad = attention_norm_loss([0.2, 0.5, 0.8], 1)
+        val, grad = attention_norm_loss(np.array([0.2, 0.5, 0.8]), 1)
         assert abs(val) < 1e-15
         np.testing.assert_allclose(grad, np.zeros(3))
 
@@ -128,16 +132,19 @@ class TestAttentionNormLoss:
 
 class TestPseudoGtLoss:
     def test_exact_match_is_zero(self):
-        val, grad = pseudo_gt_loss([0.2, 0.8], [0.2, 0.8])
+        val, grad = pseudo_gt_loss(np.array([0.2, 0.8]),
+                                   np.array([0.2, 0.8]))
         assert val == 0.0
         np.testing.assert_allclose(grad, [0.0, 0.0])
 
     def test_symmetric_half(self):
-        val, _ = pseudo_gt_loss([0.5, 0.5], [1.0, 0.0])
+        val, _ = pseudo_gt_loss(np.array([0.5, 0.5]),
+                                np.array([1.0, 0.0]))
         assert abs(val - 0.25) < 1e-12
 
     def test_hand_value(self):
-        val, _ = pseudo_gt_loss([0.2, 0.9, 0.4], [0.0, 1.0, 1.0])
+        val, _ = pseudo_gt_loss(np.array([0.2, 0.9, 0.4]),
+                                np.array([0.0, 1.0, 1.0]))
         assert abs(val - 0.41 / 3.0) < 1e-9
 
     @pytest.mark.parametrize("seed", range(10))

@@ -131,6 +131,16 @@ class TestGenerate:
                            match="^field 'max_categories_per_video' is 0, "):
             small_config(max_categories_per_video=0)
 
+    def test_more_categories_than_classes(self):
+        """A video draws at most num_classes distinct categories, however
+        many max_categories_per_video and actions_per_video allow."""
+        dataset = synthdata.generate(GeneratorConfig(
+            num_classes=2, max_categories_per_video=3,
+            actions_per_video=(3, 3)))
+        for v in dataset.all_videos():
+            assert {cat for _, _, cat in v.gt_segments} <= {1, 2}
+            assert v.label.shape == (2,)
+
 
 class TestSaveLoad:
     def test_round_trip_lossless(self, tmp_path):
