@@ -29,12 +29,35 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # subcommands
 
+# glibc's mallopt parameter M_TRIM_THRESHOLD, and the value it is set to
+M_TRIM_THRESHOLD = -1
+TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _keep_heap_top():
+    """Let glibc keep up to TRIM_THRESHOLD_BYTES of freed memory at the
+    top of the heap. By default it returns that memory to the system
+    once more than 128 KB (a threshold it adjusts as large blocks come
+    and go) is free there, so the temporaries of a training step or of a
+    plotted video are faulted in again on every call. Where the C library
+    has no mallopt this does nothing; forked workers inherit the
+    setting."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def _computes(command):
-    """A command that computes with numpy. It runs under
-    np.errstate(all="ignore"), so a diverging run reports itself once, as
-    a NumericError; eval, which does not compute, never imports numpy."""
+    """A command that computes with numpy. It keeps the heap top
+    (_keep_heap_top) and runs under np.errstate(all="ignore"), so a
+    diverging run reports itself once, as a NumericError; eval, which
+    does not compute, never imports numpy or ctypes."""
     @functools.wraps(command)
     def run(args):
+        _keep_heap_top()
         import numpy as np
         with np.errstate(all="ignore"):
             return command(args)

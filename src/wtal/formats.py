@@ -6,8 +6,9 @@ video its id, split, T, label, feature file names and ground truth) next
 to the raw feature files, which this module never opens. A proposals
 file holds {"results": {video_id: [{label, score, segment}]}}. Both are
 read and written here, and every JSON file is written by write_json.
-Every CSV file (the training log, pseudo ground truth, plot data) is
-written by write_csv. parse_json is the one JSON parse and
+The training log and pseudo ground truth CSVs are written by write_csv
+(pipeline.write_attention_csv writes the plot data's CSVs, with the
+same cells, from byte arrays). parse_json is the one JSON parse and
 check_object the one check of a JSON object's keys and value types, for
 the config, the manifest, the proposals file and a checkpoint header
 alike. Every reader checks what it reads and raises a one-line

@@ -8,7 +8,6 @@ import numpy as np
 
 from . import basemodel, consensus, evaluation, localization, parallel
 from .consensus import STREAMS
-from .formats import write_csv
 from .numkit import fuse_attention
 
 
@@ -53,45 +52,79 @@ def run_experiment(dataset, sections, seed):
 # ---------------------------------------------------------------------------
 # plot emission
 
+_SPACE = ord(" ")
+
+
+def _ascii_fields(texts, width=None):
+    """ASCII texts as the rows of a uint8 array, each padded on the right
+    with spaces to ``width`` bytes (default: the longest text)."""
+    if width is None:
+        width = max(map(len, texts), default=0)
+    return np.frombuffer("".join(t.ljust(width) for t in texts)
+                         .encode("ascii"), np.uint8).reshape(len(texts), width)
+
+
 # repr((j + 0.5) / factor), the CSV time of row j, depends on nothing but j
 # and the factor. Per factor, a process keeps the longest such column it
-# has written so far and slices it for each video; no file depends on
-# what is kept.
+# has written so far, as byte rows, and slices it for each video; no file
+# depends on what is kept.
 _TIMES = {}
 
 
-def _time_column(n, factor):
-    """repr((j + 0.5) / factor) for j = 0, ..., n - 1, as a list."""
-    times = _TIMES.setdefault(factor, [])
+def _time_fields(n, factor):
+    """repr((j + 0.5) / factor) for j = 0, ..., n - 1, as the rows of a
+    uint8 array; spaces in a row are padding."""
+    times = _TIMES.get(factor, np.empty((0, 0), np.uint8))
     if len(times) < n:
-        times.extend(map(repr, ((np.arange(len(times), n) + 0.5)
-                                / factor).tolist()))
+        new = _ascii_fields([repr(t) for t in ((np.arange(len(times), n)
+                                                 + 0.5) / factor).tolist()])
+        width = max(times.shape[1], new.shape[1])
+        times = _TIMES[factor] = np.concatenate(
+            [np.pad(block, ((0, 0), (0, width - block.shape[1])),
+                    constant_values=_SPACE) for block in (times, new)])
     return times[:n]
+
+
+_CRLF = np.frombuffer(b"\r\n", np.uint8)
 
 
 def write_attention_csv(path, attention, factor, pseudo=None):
     """Per-video CSV of the upsampled (rgb, flow, fused) attention rows;
     one row per upsampled time step (T * factor rows). ``pseudo`` holds
     one value per snippet. Every number is written as its shortest
-    round-trip ``repr``. The time column is sliced from one formatted
-    per process (``_time_column``). The three attention columns and the
-    T pseudo GT values are formatted in one call (``_format_repr``): from
-    arrays for values in [1e-10, 1), by ``repr`` for the rest (0.0 and
-    1.0 among them) and for powers of two. Each pseudo GT text is then
-    repeated ``factor`` times."""
+    round-trip ``repr``, as csv.writer writes it, each row ending in
+    \\r\\n. The file is one byte array: the time column is sliced from
+    one formatted per process (``_time_fields``), the three attention
+    columns and the T pseudo GT values are formatted in one call
+    (``_repr_fields``) and each pseudo GT field is repeated ``factor``
+    times; the columns are laid side by side with their separators, and
+    the fields' padding is dropped with one mask. Rows of unequal length
+    are a ValueError."""
     n = len(attention[0])
     values = list(attention)
     header = ["time", "attention_rgb", "attention_flow", "attention_fuse"]
     if pseudo is not None:
         header.append("pseudo_gt")
         values.append(pseudo)
-    texts = _format_repr(np.concatenate(values))
-    columns = [_time_column(n, factor)]
-    columns += [texts[i * n:(i + 1) * n] for i in range(3)]
+    if (any(len(row) != n for row in attention)
+            or (pseudo is not None and len(pseudo) * factor != n)):
+        raise ValueError("attention rows and pseudo GT of unequal length")
+    fields = _repr_fields(np.concatenate(values))
+    columns = [_time_fields(n, factor)]
+    columns += [fields[i * n:(i + 1) * n] for i in range(3)]
     if pseudo is not None:
-        columns.append([text for text in texts[3 * n:]
-                        for _ in range(factor)])
-    write_csv(path, header, columns)
+        columns.append(np.repeat(fields[3 * n:], factor, axis=0))
+    rows = np.empty((n, sum(c.shape[1] + 1 for c in columns) + 1), np.uint8)
+    start = 0
+    for column in columns:
+        end = start + column.shape[1]
+        rows[:, start:end] = column
+        rows[:, end] = ord(",")
+        start = end + 1
+    rows[:, -2:] = _CRLF
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode("ascii")
+                 + rows[rows != _SPACE].tobytes())
 
 
 # Shortest round-trip digits of a float64 v in [1e-10, 1), exactly, for a
@@ -175,21 +208,27 @@ def _digit_words():
     return np.concatenate([chars, stripped]).view(np.uint32).ravel()
 
 
-# A text is 8 bytes of lead, right-aligned, then the 16 digits after the
-# first in four words of _GROUP, with every trailing zero as a space.
-# Lead 10 k + d is "0." and k zeros then d for k = 0 .. 3 (e = -1 - k);
-# for e <= -5 it is "d." (k = 4) or, with no nonzero digit after d, "d"
-# (k = 5), and "e-05" etc. is appended to the text.
+# A field is 28 bytes: 8 bytes of lead, right-aligned, then the 16 digits
+# after the first in four words of _GROUP, with every trailing zero as a
+# space, then 4 spaces. Lead 10 k + d is "0." and k zeros then d for
+# k = 0 .. 3 (e = -1 - k); for e <= -5 it is "d." (k = 4) or, with no
+# nonzero digit after d, "d" (k = 5), and "e-05" etc. is written after the
+# last digit. The 4 spaces leave room for it: a repr has at most 24 bytes.
+# _LEAD[0] and _LEAD[1] hold the first and the last 4 bytes of each lead.
+_FIELD = 28
 _GROUP = _digit_words()
 _LEAD = np.frombuffer("".join(
     text.rjust(8) for text in [f"0.{'0' * k}{d}" for k in range(4)
                                for d in range(10)]
     + [f"{d}." for d in range(10)] + [f"{d}" for d in range(10)]).encode(
-        "ascii"), np.uint64)
+        "ascii"), np.uint32).reshape(-1, 2).T.copy()
+_SUFFIX = _ascii_fields([f"e-{k:02d}" for k in range(11)])
+_SPACES = np.frombuffer(b"    ", np.uint32)[0]
 
 
-def _format_repr(values):
-    """repr(float(v)) of each value of a float64 array, as a list of str.
+def _repr_fields(values):
+    """repr(float(v)) of each value of a float64 array, in ASCII, as the
+    rows of a uint8 array of _FIELD bytes; spaces in a row are padding.
     Values in [1e-10, 1) are formatted from arrays (``_shortest_digits``),
     each other value by repr."""
     digits, e, fast = _shortest_digits(values)
@@ -201,22 +240,23 @@ def _format_repr(values):
     for eight in (high, low):
         four = eight // 10_000
         groups += [four, eight - four * 10_000]
-    rows = np.empty((len(values), 6), np.uint32)
+    rows = np.empty((len(values), _FIELD // 4), np.uint32)
+    rows[:, 6] = _SPACES
     tail = np.ones(len(values), dtype=bool)     # no later nonzero digit
     for column in range(5, 1, -1):
         g = groups[column - 2]
         rows[:, column] = _GROUP[g + 10_000 * tail]
         tail &= g == 0
-    rows.view(np.uint64)[:, 0] = _LEAD[
-        np.where(e >= -4, -1 - e, 4 + tail) * 10 + first]
-    texts = rows.tobytes().decode("ascii").split()
+    lead = np.where(e >= -4, -1 - e, 4 + tail) * 10 + first
+    rows[:, 0], rows[:, 1] = _LEAD[0][lead], _LEAD[1][lead]
+    fields = rows.view(np.uint8)
     small = np.flatnonzero(e < -4)
-    for i, k in zip(small.tolist(), (-e[small]).tolist()):
-        texts[i] += f"e-{k:02d}"
+    end = 8 + np.count_nonzero(fields[small, 8:24] != _SPACE, axis=1)
+    fields[small[:, None], end[:, None] + np.arange(4)] = _SUFFIX[-e[small]]
     slow = np.flatnonzero(~fast)
-    for i, v in zip(slow.tolist(), values[slow].tolist()):
-        texts[i] = repr(v)
-    return texts
+    fields[slow] = _ascii_fields([repr(v) for v in values[slow].tolist()],
+                                 _FIELD)
+    return fields
 
 
 # "%.2f" % v prints the exact product 100 v rounded to an integer, a tie

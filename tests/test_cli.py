@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import dataclasses
 import io
 import itertools
@@ -1141,27 +1142,33 @@ class TestReadsOnlyWhatItUses:
 
 
 # `python -m wtal.cli ARGS`, which then reports on stderr whether numpy
-# was imported
+# and ctypes were imported
 RUN_CLI = """import runpy, sys
 try:
     runpy.run_module("wtal.cli", run_name="__main__", alter_sys=True)
 finally:
     print(f"numpy imported: {'numpy' in sys.modules}", file=sys.stderr)
+    print(f"ctypes imported: {'ctypes' in sys.modules}", file=sys.stderr)
 """
+NO_NUMPY_NO_CTYPES = "numpy imported: False\nctypes imported: False\n"
 
 
 class TestEvalLoadsNoNumpy:
     def test_import_cli(self, python_with_src):
         run = python_with_src(
-            "-c", "import sys, wtal.cli; print('numpy' in sys.modules)")
-        assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+            "-c", "import sys, wtal.cli; "
+            "print('numpy' in sys.modules, 'ctypes' in sys.modules)")
+        assert (run.returncode, run.stdout, run.stderr) == \
+            (0, "False False\n", "")
 
     @pytest.mark.parametrize("module", ["wtal.config", "wtal.formats",
                                         "wtal.evaluation"])
     def test_import_module_alone(self, module, python_with_src):
         run = python_with_src(
-            "-c", f"import sys, {module}; print('numpy' in sys.modules)")
-        assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+            "-c", f"import sys, {module}; "
+            "print('numpy' in sys.modules, 'ctypes' in sys.modules)")
+        assert (run.returncode, run.stdout, run.stderr) == \
+            (0, "False False\n", "")
 
     def test_usage_error(self, tmp_path, python_with_src):
         run = python_with_src("-c", RUN_CLI, "eval", "--dataset",
@@ -1169,7 +1176,7 @@ class TestEvalLoadsNoNumpy:
         assert run.returncode == 1
         assert run.stderr == ("usage error: the following arguments are "
                               "required: --proposals\n"
-                              "numpy imported: False\n")
+                              + NO_NUMPY_NO_CTYPES)
 
     def test_report_matches_the_numeric_path(self, workspace, proposals,
                                              tmp_path, python_with_src):
@@ -1178,7 +1185,7 @@ class TestEvalLoadsNoNumpy:
                               str(proposals), "--dataset",
                               str(workspace["data"]), "--out", str(out))
         assert run.returncode == 0
-        assert run.stderr == "numpy imported: False\n"
+        assert run.stderr == NO_NUMPY_NO_CTYPES
         # the same report from in-memory proposals of the checkpoints and
         # the GT of the loaded test split, with no proposals file between
         models = {s: basemodel.load_checkpoint(
@@ -1196,6 +1203,91 @@ class TestEvalLoadsNoNumpy:
         for ext in ("json", "txt"):
             assert (tmp_path / f"report.{ext}").read_bytes() == \
                 (tmp_path / f"numeric.{ext}").read_bytes()
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """The (param, value) of each mallopt call made through ctypes.CDLL,
+    which is replaced by a library that only records them."""
+    calls = []
+
+    class Libc:
+        def __init__(self, name):
+            assert name is None
+
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", Libc)
+    return calls
+
+
+# `python -m wtal.cli ARGS` with a C library whose mallopt reports on
+# stderr its arguments and whether numpy was imported before it
+RUN_CLI_MALLOPT = """import ctypes, runpy, sys
+class Libc:
+    def __init__(self, name):
+        pass
+    def mallopt(self, param, value):
+        print(f"mallopt{(param, value)} numpy imported: "
+              f"{'numpy' in sys.modules}", file=sys.stderr)
+ctypes.CDLL = Libc
+runpy.run_module("wtal.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestHeapPolicy:
+    def test_each_computing_command_sets_the_trim_threshold_once(
+            self, workspace, proposals, tmp_path, mallopt_calls):
+        run = workspace["run"]
+        models = ["--checkpoint-rgb", str(run / "iter1_rgb.ckpt"),
+                  "--checkpoint-flow", str(run / "iter1_flow.ckpt"),
+                  "--dataset", str(workspace["data"])]
+        computing = [
+            ["gen-data", "--videos", "2", "--test-videos", "1",
+             "--classes", "2", "--dim", "4", "--out", str(tmp_path / "d")],
+            ["train", "--config", str(workspace["config"]), "--dataset",
+             str(workspace["data"]), "--out", str(tmp_path / "run")],
+            ["localize", *models, "--out", str(tmp_path / "p.json")],
+            ["plot", *models, "--out", str(tmp_path / "plots")]]
+        for argv in computing:
+            mallopt_calls.clear()
+            assert cli.main(argv) == 0
+            assert mallopt_calls == [(-1, 64 * 2 ** 20)], argv[0]
+        mallopt_calls.clear()
+        assert cli.main(["eval", "--proposals", str(proposals),
+                         "--dataset", str(workspace["data"]),
+                         "--out", str(tmp_path / "report")]) == 0
+        assert mallopt_calls == []
+
+    def test_set_before_numpy_is_imported(self, tmp_path, python_with_src):
+        run = python_with_src("-c", RUN_CLI_MALLOPT, "gen-data",
+                              "--videos", "2", "--test-videos", "1",
+                              "--out", str(tmp_path / "d"))
+        assert run.returncode == 0
+        assert run.stderr == \
+            "mallopt(-1, 67108864) numpy imported: False\n"
+
+    @pytest.mark.parametrize("libc", ["no library", "no mallopt"])
+    def test_plot_without_mallopt(self, workspace, tmp_path, monkeypatch,
+                                  libc):
+        """Where the C library cannot be opened or has no mallopt, plot
+        runs and writes the bytes it writes with it."""
+        assert plot(workspace, tmp_path / "with") == 0
+
+        class NoMallopt:
+            def __init__(self, name):
+                pass
+
+        def no_library(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", NoMallopt
+                            if libc == "no mallopt" else no_library)
+        assert plot(workspace, tmp_path / "without") == 0
+        assert tree_bytes(tmp_path / "without") == \
+            tree_bytes(tmp_path / "with")
 
 
 class TestRejectedInputs:

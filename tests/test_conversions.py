@@ -61,7 +61,7 @@ HELPERS = {
     localization.oic_score: ("weights",),
     numkit.fuse_attention: ("rgb", "flow"),
     pipeline._shortest_digits: ("values",),
-    pipeline._format_repr: ("values",),
+    pipeline._repr_fields: ("values",),
     pipeline._format_2f: ("values",),
     pipeline._svg_polyline: ("values",),
 }

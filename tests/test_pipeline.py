@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wtal import (basemodel, cli, consensus, localization, parallel,
@@ -113,6 +113,28 @@ def make_video(t, gt_segments):
                        gt_segments=gt_segments)
 
 
+def ulps_from(value, steps):
+    """The float ``steps`` representable values above ``value`` (below it
+    for negative ``steps``); value is positive and finite."""
+    return float((np.array(value).view(np.int64) + steps).view(np.float64))
+
+
+# each class of value that the CSV writer formats by repr rather than from
+# arrays: 0.0 and 1.0; powers of two; values below 1e-10, subnormals
+# included; and values at and just below a power of ten, where the
+# 17-digit decimal carries into the next exponent. Then the exponent
+# notation of [1e-10, 1e-4), values of [0, 1] and every float64.
+CSV_VALUE = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.integers(1, 60).map(lambda k: 2.0 ** -k),
+    st.floats(0.0, 1e-10, exclude_max=True),
+    st.tuples(st.integers(1, 10), st.integers(-40, 0))
+    .map(lambda pair: ulps_from(10.0 ** -pair[0], pair[1])),
+    st.floats(1e-10, 1e-4, exclude_max=True),
+    st.floats(0.0, 1.0),
+    st.floats())
+
+
 class TestAttentionCsv:
     @pytest.mark.parametrize("factor", FACTORS)
     @pytest.mark.parametrize("t", LENGTHS)
@@ -128,6 +150,30 @@ class TestAttentionCsv:
                                      factor, pseudo=values)
         reference_csv(tmp_path / "ref.csv", attention, factor,
                       pseudo=values)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("factor", [1, 8])
+    @pytest.mark.parametrize("t", [1, 5])
+    @pytest.mark.parametrize("with_pseudo", [False, True])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_bytes_are_csv_writer_cells_of_repr(self, tmp_path, factor, t,
+                                                with_pseudo, data):
+        n = t * factor
+        attention = tuple(np.array(data.draw(
+            st.lists(CSV_VALUE, min_size=n, max_size=n)), dtype=np.float64)
+            for _ in range(3))
+        pseudo = None
+        if with_pseudo:
+            pseudo = np.array(data.draw(
+                st.lists(CSV_VALUE, min_size=t, max_size=t)),
+                dtype=np.float64)
+        pipeline.write_attention_csv(tmp_path / "new.csv", attention,
+                                     factor, pseudo=pseudo)
+        reference_csv(tmp_path / "ref.csv", attention, factor,
+                      pseudo=pseudo)
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
 
@@ -267,12 +313,21 @@ def sigmoid_attention(t, factor, seed):
     return rgb, flow, fuse_attention(rgb, flow, 0.5)
 
 
+def field_texts(fields):
+    """The text of each _repr_fields row: the row without its padding."""
+    assert fields.dtype == np.uint8
+    assert fields.shape[1:] == (pipeline._FIELD,)
+    data = fields.tobytes().decode("ascii")
+    return [data[i:i + pipeline._FIELD].replace(" ", "")
+            for i in range(0, len(data), pipeline._FIELD)]
+
+
 class TestFormatRepr:
     @settings(max_examples=500, deadline=None)
     @given(values=st.lists(REPR_VALUE, max_size=40))
     def test_every_element_is_repr(self, values):
         values = np.array(values, dtype=np.float64)
-        assert pipeline._format_repr(values) == \
+        assert field_texts(pipeline._repr_fields(values)) == \
             [repr(v) for v in values.tolist()]
 
     @pytest.mark.parametrize("draw", [
@@ -284,7 +339,7 @@ class TestFormatRepr:
         ids=["uniform", "log-uniform", "dyadic", "sigmoid"])
     def test_many_seeded_values_are_repr(self, draw):
         values = draw(np.random.default_rng(7))
-        assert pipeline._format_repr(values) == \
+        assert field_texts(pipeline._repr_fields(values)) == \
             [repr(v) for v in values.tolist()]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
