@@ -135,20 +135,17 @@ def infer(model, features):
     return fp
 
 
-def backward(model, fp, d_attention, d_prediction, out=None):
+def backward(model, fp, d_attention, d_prediction, out):
     """Exact parameter gradients given upstream gradients of the losses
     w.r.t. attention and video prediction.
 
     The gradient overwrites the parameters of ``out``, a StreamModel of
-    the same config (a new one per call when None), and is returned as
-    its ``params``. Reusing ``out`` across calls reuses its named views.
+    the same config, and is returned as its ``params``. Reusing ``out``
+    across calls reuses its named views.
     """
-    if out is None:
-        out = StreamModel(config=model.config, modality=model.modality)
-    elif out.config != model.config:
+    if out.config != model.config:
         raise ShapeError("gradient buffer config does not match the model")
-    else:
-        out.flat.fill(0.0)
+    out.flat.fill(0.0)
     grads = dict(out.params)
     embedded = fp.embedded
     attention = fp.attention
@@ -189,13 +186,13 @@ def _header_params(config):
             for name, shape in sorted(param_layout(config))]
 
 
-def save_checkpoint(path, model, meta=None):
+def save_checkpoint(path, model, meta):
     header = {
         "format": CHECKPOINT_MAGIC,
         "modality": model.modality,
         "config": asdict(model.config),
         "params": _header_params(model.config),
-        "meta": meta or {},
+        "meta": meta,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:

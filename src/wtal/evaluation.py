@@ -101,7 +101,9 @@ def average_precision(proposals, gts, iou_threshold):
     """All-point average precision for one class.
 
     Returns None when there is no ground truth for the class (the class
-    is then excluded from the mean, with a note in the report).
+    is then excluded from the mean, with a note in the report). Only the
+    tests call it (``map_at`` scores each class from ``class_overlaps``),
+    and the benchmark's tracer lists it among the names it wraps.
     """
     if not gts:
         return None
@@ -169,14 +171,12 @@ def class_overlaps(proposals, gts):
             for c, class_gts in _by_category(gts).items()}
 
 
-def map_at(proposals, gts, thresholds, num_classes, overlaps=None):
-    """Mean over classes of AP at each threshold, plus the average mAP
-    over the threshold list. Classes with no GT are excluded. overlaps,
-    if given, is class_overlaps(proposals, gts)."""
-    if not gts:
+def map_at(overlaps, thresholds, num_classes):
+    """Per-class AP and the mean over classes of AP at each threshold,
+    from ``overlaps``, the class_overlaps of the proposals and the GT.
+    Classes with no GT are excluded, each with a note."""
+    if not overlaps:    # it has a key for each class with GT
         raise ValueError("no ground truth segments")
-    if overlaps is None:
-        overlaps = class_overlaps(proposals, gts)
     classes = range(1, num_classes + 1)
     notes = [f"class {c}: no ground truth, excluded" for c in classes
              if c not in overlaps]
@@ -192,12 +192,10 @@ def map_at(proposals, gts, thresholds, num_classes, overlaps=None):
     return per_class, map_values, notes
 
 
-def precision_recall_f(proposals, gts, iou_threshold=0.5, overlaps=None):
+def precision_recall_f(proposals, gts, iou_threshold, overlaps):
     """Detection (precision, recall, F, TP count) at one IoU threshold,
     greedy matching per class and per video in descending score order.
-    overlaps, if given, is class_overlaps(proposals, gts)."""
-    if overlaps is None:
-        overlaps = class_overlaps(proposals, gts)
+    ``overlaps`` is class_overlaps(proposals, gts)."""
     # a class with proposals but no GT adds no TP
     tp = sum(sum(_match(records, iou_threshold))
              for records, _ in overlaps.values())
@@ -214,8 +212,7 @@ def evaluate(proposals, gts, thresholds, num_classes):
     """Full report: mAP at each threshold plus P/R/F at IoU 0.5, from one
     IoU pass."""
     overlaps = class_overlaps(proposals, gts)
-    per_class, map_values, notes = map_at(proposals, gts, thresholds,
-                                          num_classes, overlaps)
+    per_class, map_values, notes = map_at(overlaps, thresholds, num_classes)
     precision, recall, f, tp = precision_recall_f(proposals, gts, 0.5,
                                                   overlaps)
     return EvalReport(

@@ -360,7 +360,7 @@ _PROPOSALS_HINTS = {"results": dict, "version": str, "external_data": dict}
 _PROPOSAL_HINTS = {"label": str, "score": float, "segment": tuple[float, ...]}
 
 
-def proposals_from_json(payload, class_names, where="proposals"):
+def proposals_from_json(payload, class_names, where):
     """Proposals of a proposals_to_json payload, whose top level may also
     hold ActivityNet's version and external_data; a fault is a one-line
     DataError naming where, the video and the field."""

@@ -54,8 +54,9 @@ def pseudo_gt_loss(attention, gt):
     return value, grad
 
 
-def total_loss(cls_value, att_value, config, gt_value=None):
-    """Weighted combination: cls + alpha*att (+ gamma*gt with pseudo GT)."""
+def total_loss(cls_value, att_value, config, gt_value):
+    """Weighted combination: cls + alpha*att (+ gamma*gt with pseudo GT;
+    gt_value is None without it)."""
     total = cls_value + config.alpha * att_value
     if gt_value is not None:
         total += config.gamma * gt_value

@@ -1,6 +1,5 @@
 """Dense numeric kernel: layer primitives with explicit forward/backward
-passes, the convex fusion of two streams, the Adam optimizer, and a
-finite-difference gradient checker.
+passes, the convex fusion of two streams, and the Adam optimizer.
 
 All arrays are float64 numpy arrays, and no function here converts its
 inputs (``basemodel.forward`` converts the features, the one conversion
@@ -37,7 +36,7 @@ def temporal_conv_forward(inp, weights, bias):
     return out
 
 
-def temporal_conv_backward(inp, weights, d_out, need_input=True):
+def temporal_conv_backward(inp, weights, d_out, need_input):
     """Gradients of temporal_conv_forward w.r.t. input, weights, bias.
 
     With need_input false the input gradient is not computed and comes
@@ -170,48 +169,3 @@ def adam_step(params, grads, state):
     v_hat = v / bc2
     params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    worst_param: str
-    worst_index: tuple
-    passed: bool
-    tol: float
-
-
-def grad_check(fn, params, h=1e-5, tol=1e-4):
-    """Compare analytic gradients against central finite differences.
-
-    ``fn(params) -> (loss, grads)`` must be deterministic; ``grads`` is a
-    dict matching ``params``. Relative error uses max(|a|, |b|, 1e-8) as
-    the denominator.
-    """
-    _, analytic = fn(params)
-    worst = 0.0
-    worst_param = ""
-    worst_index = ()
-    for name, p in params.items():
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            loss_plus, _ = fn(params)
-            p[idx] = orig - h
-            loss_minus, _ = fn(params)
-            p[idx] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * h)
-            a = float(analytic[name][idx])
-            denom = max(abs(a), abs(numeric), 1e-8)
-            err = abs(a - numeric) / denom
-            if err > worst:
-                worst = err
-                worst_param = name
-                worst_index = idx
-    return GradCheckReport(max_rel_error=worst, worst_param=worst_param,
-                           worst_index=worst_index, passed=worst < tol,
-                           tol=tol)

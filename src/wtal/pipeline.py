@@ -17,7 +17,7 @@ def stream_outputs(models, video):
             for s in STREAMS}
 
 
-def localize_dataset(models, videos, loc_cfg, beta, mode="fused"):
+def localize_dataset(models, videos, loc_cfg, beta, mode):
     proposals = []
     for video in videos:
         outs = stream_outputs(models, video)
@@ -52,15 +52,12 @@ def run_experiment(dataset, sections, seed):
 # ---------------------------------------------------------------------------
 # plot emission
 
-_SPACE = ord(" ")
-
-
 def _ascii_fields(texts, width=None):
     """ASCII texts as the rows of a uint8 array, each padded on the right
-    with spaces to ``width`` bytes (default: the longest text)."""
+    with zero bytes to ``width`` bytes (default: the longest text)."""
     if width is None:
         width = max(map(len, texts), default=0)
-    return np.frombuffer("".join(t.ljust(width) for t in texts)
+    return np.frombuffer("".join(t.ljust(width, "\0") for t in texts)
                          .encode("ascii"), np.uint8).reshape(len(texts), width)
 
 
@@ -73,33 +70,33 @@ _TIMES = {}
 
 def _time_fields(n, factor):
     """repr((j + 0.5) / factor) for j = 0, ..., n - 1, as the rows of a
-    uint8 array; spaces in a row are padding."""
+    uint8 array; zero bytes in a row are padding."""
     times = _TIMES.get(factor, np.empty((0, 0), np.uint8))
     if len(times) < n:
         new = _ascii_fields([repr(t) for t in ((np.arange(len(times), n)
                                                  + 0.5) / factor).tolist()])
         width = max(times.shape[1], new.shape[1])
         times = _TIMES[factor] = np.concatenate(
-            [np.pad(block, ((0, 0), (0, width - block.shape[1])),
-                    constant_values=_SPACE) for block in (times, new)])
+            [np.pad(block, ((0, 0), (0, width - block.shape[1])))
+             for block in (times, new)])
     return times[:n]
 
 
 _CRLF = np.frombuffer(b"\r\n", np.uint8)
 
 
-def write_attention_csv(path, attention, factor, pseudo=None):
+def write_attention_csv(path, attention, factor, pseudo):
     """Per-video CSV of the upsampled (rgb, flow, fused) attention rows;
     one row per upsampled time step (T * factor rows). ``pseudo`` holds
-    one value per snippet. Every number is written as its shortest
-    round-trip ``repr``, as csv.writer writes it, each row ending in
-    \\r\\n. The file is one byte array: the time column is sliced from
-    one formatted per process (``_time_fields``), the three attention
-    columns and the T pseudo GT values are formatted in one call
-    (``_repr_fields``) and each pseudo GT field is repeated ``factor``
-    times; the columns are laid side by side with their separators, and
-    the fields' padding is dropped with one mask. Rows of unequal length
-    are a ValueError."""
+    one value per snippet, or is None for no pseudo_gt column. Every
+    number is written as its shortest round-trip ``repr``, as csv.writer
+    writes it, each row ending in \\r\\n. The file is one byte array:
+    the time column is sliced from one formatted per process
+    (``_time_fields``), the three attention columns and the T pseudo GT
+    values are formatted in one call (``_repr_fields``) and each pseudo
+    GT field is repeated ``factor`` times; the columns are laid side by
+    side with their separators, and the fields' zero-byte padding is
+    dropped with one mask. Rows of unequal length are a ValueError."""
     n = len(attention[0])
     values = list(attention)
     header = ["time", "attention_rgb", "attention_flow", "attention_fuse"]
@@ -124,7 +121,7 @@ def write_attention_csv(path, attention, factor, pseudo=None):
     rows[:, -2:] = _CRLF
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode("ascii")
-                 + rows[rows != _SPACE].tobytes())
+                 + rows[rows != 0].tobytes())
 
 
 # Shortest round-trip digits of a float64 v in [1e-10, 1), exactly, for a
@@ -197,40 +194,40 @@ def _shortest_digits(values):
 
 def _digit_words():
     """uint32 words of the 4 ASCII digits of 0, ..., 9999, then of the
-    same with trailing zeros as spaces."""
+    same with trailing zeros as zero bytes."""
     chars = (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
              + np.uint8(ord("0")))
     stripped = chars.copy()
     tail = np.ones(len(chars), dtype=bool)
     for i in range(3, -1, -1):
         tail &= chars[:, i] == ord("0")
-        stripped[tail, i] = ord(" ")
+        stripped[tail, i] = 0
     return np.concatenate([chars, stripped]).view(np.uint32).ravel()
 
 
 # A field is 28 bytes: 8 bytes of lead, right-aligned, then the 16 digits
 # after the first in four words of _GROUP, with every trailing zero as a
-# space, then 4 spaces. Lead 10 k + d is "0." and k zeros then d for
-# k = 0 .. 3 (e = -1 - k); for e <= -5 it is "d." (k = 4) or, with no
+# zero byte, then 4 zero bytes. Lead 10 k + d is "0." and k zeros then d
+# for k = 0 .. 3 (e = -1 - k); for e <= -5 it is "d." (k = 4) or, with no
 # nonzero digit after d, "d" (k = 5), and "e-05" etc. is written after the
-# last digit. The 4 spaces leave room for it: a repr has at most 24 bytes.
+# last digit. The 4 zero bytes leave room for it: a repr has at most 24
+# bytes.
 # _LEAD[0] and _LEAD[1] hold the first and the last 4 bytes of each lead.
 _FIELD = 28
 _GROUP = _digit_words()
 _LEAD = np.frombuffer("".join(
-    text.rjust(8) for text in [f"0.{'0' * k}{d}" for k in range(4)
-                               for d in range(10)]
+    text.rjust(8, "\0") for text in [f"0.{'0' * k}{d}" for k in range(4)
+                                     for d in range(10)]
     + [f"{d}." for d in range(10)] + [f"{d}" for d in range(10)]).encode(
         "ascii"), np.uint32).reshape(-1, 2).T.copy()
 _SUFFIX = _ascii_fields([f"e-{k:02d}" for k in range(11)])
-_SPACES = np.frombuffer(b"    ", np.uint32)[0]
 
 
 def _repr_fields(values):
     """repr(float(v)) of each value of a float64 array, in ASCII, as the
-    rows of a uint8 array of _FIELD bytes; spaces in a row are padding.
-    Values in [1e-10, 1) are formatted from arrays (``_shortest_digits``),
-    each other value by repr."""
+    rows of a uint8 array of _FIELD bytes; zero bytes in a row are
+    padding. Values in [1e-10, 1) are formatted from arrays
+    (``_shortest_digits``), each other value by repr."""
     digits, e, fast = _shortest_digits(values)
     first = digits // _POW10[16]
     rest = digits - first * _POW10[16]
@@ -241,7 +238,7 @@ def _repr_fields(values):
         four = eight // 10_000
         groups += [four, eight - four * 10_000]
     rows = np.empty((len(values), _FIELD // 4), np.uint32)
-    rows[:, 6] = _SPACES
+    rows[:, 6] = 0
     tail = np.ones(len(values), dtype=bool)     # no later nonzero digit
     for column in range(5, 1, -1):
         g = groups[column - 2]
@@ -251,7 +248,7 @@ def _repr_fields(values):
     rows[:, 0], rows[:, 1] = _LEAD[0][lead], _LEAD[1][lead]
     fields = rows.view(np.uint8)
     small = np.flatnonzero(e < -4)
-    end = 8 + np.count_nonzero(fields[small, 8:24] != _SPACE, axis=1)
+    end = 8 + np.count_nonzero(fields[small, 8:24], axis=1)
     fields[small[:, None], end[:, None] + np.arange(4)] = _SUFFIX[-e[small]]
     slow = np.flatnonzero(~fast)
     fields[slow] = _ascii_fields([repr(v) for v in values[slow].tolist()],
@@ -270,19 +267,14 @@ def _repr_fields(values):
 _TIE_BAND = 1e-9
 
 
-def _words(texts):
-    """Each text of at most 8 ASCII characters, padded on the right with
-    zero bytes, as the uint64 whose memory holds those bytes."""
-    return np.frombuffer("".join(t.ljust(8, "\0") for t in texts)
-                         .encode("ascii"), np.uint64)
-
-
 # a fast-path field is 8 bytes: the integer part 0..1000 in bytes 0-3,
 # ".dd" in bytes 4-6 and the separator in byte 7; its zero bytes are
 # padding. The bytes are OR-ed, which is the same in either byte order.
-_WHOLE = _words(str(i) for i in range(1001))
-_FRACTION = _words(f"\0\0\0\0.{i:02d}" for i in range(100))
-_SEPARATOR = {sep: _words(["\0" * 7 + sep])[0] for sep in ", "}
+_WHOLE = _ascii_fields([str(i) for i in range(1001)], 8).view(np.uint64)[:, 0]
+_FRACTION = _ascii_fields([f"\0\0\0\0.{i:02d}" for i in range(100)],
+                          8).view(np.uint64)[:, 0]
+_SEPARATOR = {sep: _ascii_fields(["\0" * 7 + sep]).view(np.uint64)[0, 0]
+              for sep in ", "}
 
 
 def _format_2f(values, sep):
@@ -302,9 +294,7 @@ def _format_2f(values, sep):
         texts = [f"{v:.2f}{sep}" for v in values[slow].tolist()]
         width = max(8, *map(len, texts))
         fields = np.pad(fields, ((0, 0), (0, width - 8)))
-        fields[slow] = np.frombuffer(
-            "".join(t.ljust(width, "\0") for t in texts).encode("ascii"),
-            np.uint8).reshape(-1, width)
+        fields[slow] = _ascii_fields(texts, width)
     return fields
 
 
@@ -378,14 +368,15 @@ def _plot_video(out_dir, models, video, loc_cfg, beta, pseudo):
 
 
 def write_plot_bundle(out_dir, models, videos, loc_cfg, beta,
-                      pseudo_by_video=None):
-    """Write each video's attention CSV and SVG into ``out_dir``.
+                      pseudo_by_video):
+    """Write each video's attention CSV and SVG into ``out_dir``, with a
+    pseudo_gt column for each video that ``pseudo_by_video`` maps to its
+    pseudo GT.
 
     The videos are dealt over the CPUs in this process's affinity mask by
     ``parallel.fork_map``; no file and no error depends on their number.
     """
     os.makedirs(out_dir, exist_ok=True)
-    pseudo_by_video = pseudo_by_video or {}
 
     def plot(video):
         _plot_video(out_dir, models, video, loc_cfg, beta,

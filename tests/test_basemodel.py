@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from wtal import basemodel, consensus, losses, numkit, synthdata
 from wtal.basemodel import ShapeError, StreamModel
 from wtal.config import LossConfig, ModelConfig, RefinementConfig
@@ -118,15 +119,23 @@ class TestForward:
                                   flow.params["att_w"])
 
 
+def new_buffer(model):
+    """A zeroed gradient buffer for basemodel.backward on model."""
+    return StreamModel(config=model.config, modality=model.modality)
+
+
 def full_loss_and_grads(model, features, label, gt=None):
     """The trainer's per-video objective at the default loss weights and
     its gradient through the whole model; pseudo GT ``gt`` makes it an
-    objective of iteration 1."""
+    objective of iteration 1. Each call writes its gradient into a new
+    buffer, as grad_check keeps the first call's gradient while it calls
+    again."""
     fp = basemodel.forward(model, features)
     *_, total, d_att, d_pred = losses.video_objective(fp, label, gt,
                                                       LossConfig())
     return total, basemodel.backward(model, fp, d_attention=d_att,
-                                     d_prediction=d_pred)
+                                     d_prediction=d_pred,
+                                     out=new_buffer(model))
 
 
 class TestBackward:
@@ -143,7 +152,7 @@ class TestBackward:
         def fn(params):
             return full_loss_and_grads(model, features, label, gt=gt)
 
-        report = numkit.grad_check(fn, model.params)
+        report = grad_check(fn, model.params)
         assert report.passed, report
 
     def test_doubling_upstream_doubles_gradients(self):
@@ -154,9 +163,10 @@ class TestBackward:
         d_att = rng.normal(size=5)
         d_pred = rng.normal(size=3)
         g1 = basemodel.backward(model, fp, d_attention=d_att,
-                                d_prediction=d_pred)
+                                d_prediction=d_pred, out=new_buffer(model))
         g2 = basemodel.backward(model, fp, d_attention=2 * d_att,
-                                d_prediction=2 * d_pred)
+                                d_prediction=2 * d_pred,
+                                out=new_buffer(model))
         for key in g1:
             np.testing.assert_allclose(g2[key], 2.0 * g1[key], atol=1e-12)
 
@@ -166,8 +176,9 @@ class TestBackward:
         fp = basemodel.forward(model, rng.normal(size=(5, 4)))
         upstream = {"d_attention": rng.normal(size=5),
                     "d_prediction": rng.normal(size=3)}
-        fresh = basemodel.backward(model, fp, **upstream)
-        buf = StreamModel(config=model.config, modality="rgb")
+        fresh = basemodel.backward(model, fp, out=new_buffer(model),
+                                   **upstream)
+        buf = new_buffer(model)
         buf.flat[:] = np.nan
         buf.flat[::2] = 1e300
         reused = basemodel.backward(model, fp, out=buf, **upstream)
@@ -218,7 +229,7 @@ class TestCheckpoint:
     def test_rejects_truncated_file(self, tmp_path):
         model = make_model()
         path = tmp_path / "model.ckpt"
-        basemodel.save_checkpoint(path, model)
+        basemodel.save_checkpoint(path, model, meta={})
         data = path.read_bytes()
         path.write_bytes(data[:len(data) - 16])
         with pytest.raises(ValueError):

@@ -1194,7 +1194,7 @@ class TestEvalLoadsNoNumpy:
         report = evaluation.evaluate(
             pipeline.localize_dataset(models, dataset.test,
                                       LocalizationConfig(),
-                                      RefinementConfig().beta),
+                                      RefinementConfig().beta, "fused"),
             evaluation.gt_from_videos(dataset.test),
             EvaluationConfig().thresholds, dataset.num_classes)
         numeric = tmp_path / "numeric"

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from wtal import evaluation
 from wtal.evaluation import (GroundTruthSegment, average_precision,
-                             evaluate, gt_from_videos, iou, map_at,
-                             precision_recall_f)
+                             class_overlaps, evaluate, gt_from_videos, iou,
+                             map_at, precision_recall_f)
 from wtal.formats import ActionProposal
 
 
@@ -18,6 +18,17 @@ def prop(video="v", start=0.0, end=1.0, category=1, score=0.5):
 
 def gt(video="v", start=0.0, end=1.0, category=1):
     return GroundTruthSegment(video, start, end, category)
+
+
+def map_of(proposals, gts, thresholds, num_classes):
+    """map_at with its own IoU pass."""
+    return map_at(class_overlaps(proposals, gts), thresholds, num_classes)
+
+
+def prf_at(proposals, gts, threshold):
+    """precision_recall_f at one threshold, with its own IoU pass."""
+    return precision_recall_f(proposals, gts, threshold,
+                              class_overlaps(proposals, gts))
 
 
 def oracle_average_precision(proposals, gts, threshold):
@@ -207,27 +218,27 @@ class TestMapAt:
         props = [prop(start=0.0, end=2.0, category=1, score=0.9),
                  prop(video="w", start=1.0, end=4.0, category=2,
                       score=0.8)]
-        _, map_values, notes = map_at(props, gts, [0.5, 0.9], 2)
+        _, map_values, notes = map_of(props, gts, [0.5, 0.9], 2)
         assert map_values[0.5] == 1.0
         assert map_values[0.9] == 1.0
         assert notes == []
 
     def test_empty_proposals_zero(self):
-        _, map_values, _ = map_at([], [gt()], [0.5], 1)
+        _, map_values, _ = map_of([], [gt()], [0.5], 1)
         assert map_values[0.5] == 0.0
 
     def test_class_without_gt_excluded_with_note(self):
         gts = [gt(category=1)]
         props = [prop(category=1, score=0.9),
                  prop(category=2, start=5.0, end=6.0, score=0.8)]
-        per_class, map_values, notes = map_at(props, gts, [0.5], 2)
+        per_class, map_values, notes = map_of(props, gts, [0.5], 2)
         assert per_class[0.5][2] is None
         assert map_values[0.5] == 1.0
         assert any("class 2" in note for note in notes)
 
     def test_empty_gt_rejected(self):
         with pytest.raises(ValueError):
-            map_at([prop()], [], [0.5], 1)
+            map_of([prop()], [], [0.5], 1)
 
     def test_two_class_fixture_matches_oracle(self):
         gts = [gt(video="v1", start=0.0, end=4.0, category=1),
@@ -244,7 +255,7 @@ class TestMapAt:
                       score=0.5),
                  prop(video="v1", start=20.0, end=22.0, category=1,
                       score=0.4)]
-        per_class, map_values, _ = map_at(props, gts, [0.3, 0.5], 2)
+        per_class, map_values, _ = map_of(props, gts, [0.3, 0.5], 2)
         for threshold in (0.3, 0.5):
             for c in (1, 2):
                 want = oracle_average_precision(
@@ -259,7 +270,7 @@ class TestMapAt:
     def test_tied_multi_class_fixture_matches_oracle(self, seed):
         props, gts = tied_fixture(seed)
         thresholds = [0.1, 1 / 3, 0.5, 2 / 3, 0.9]
-        per_class, _, _ = map_at(props, gts, thresholds, 3)
+        per_class, _, _ = map_of(props, gts, thresholds, 3)
         for threshold in thresholds:
             for c in (1, 2, 3):
                 want = oracle_average_precision(
@@ -275,21 +286,21 @@ class TestPrecisionRecallF:
         props = [prop(start=0.0, end=1.0, score=0.9),
                  prop(start=50.0, end=51.0, score=0.8)]
         gts = [gt(start=0.0, end=1.0), gt(start=10.0, end=11.0)]
-        p, r, f, tp = precision_recall_f(props, gts)
+        p, r, f, tp = prf_at(props, gts, 0.5)
         assert (p, r, f, tp) == (0.5, 0.5, 0.5, 1)
 
     def test_perfect(self):
         props = [prop(score=0.9)]
-        p, r, f, tp = precision_recall_f(props, [gt()])
+        p, r, f, tp = prf_at(props, [gt()], 0.5)
         assert (p, r, f, tp) == (1.0, 1.0, 1.0, 1)
 
     def test_zero_proposals(self):
-        assert precision_recall_f([], [gt()]) == (0.0, 0.0, 0.0, 0)
+        assert prf_at([], [gt()], 0.5) == (0.0, 0.0, 0.0, 0)
 
     def test_matching_is_per_class(self):
         props = [prop(category=2, score=0.9)]
         gts = [gt(category=1)]
-        p, r, f, tp = precision_recall_f(props, gts)
+        p, r, f, tp = prf_at(props, gts, 0.5)
         assert (p, r, f, tp) == (0.0, 0.0, 0.0, 0)
 
 
@@ -302,15 +313,15 @@ class TestPrecisionRecallF:
         other = gt(video="w", start=0.0, end=4.0)
         props = [prop(video="v", start=2.0, end=4.0, score=0.9),
                  prop(video="v", start=0.0, end=3.0, score=0.5)]
-        assert precision_recall_f(props, [first, other, second])[3] == 1
-        assert precision_recall_f(props, [second, other, first])[3] == 2
+        assert prf_at(props, [first, other, second], 0.5)[3] == 1
+        assert prf_at(props, [second, other, first], 0.5)[3] == 2
 
     @pytest.mark.parametrize("seed", range(20))
     def test_tied_multi_class_fixture_matches_oracle(self, seed):
         props, gts = tied_fixture(seed)
         for threshold in (0.1, 1 / 3, 0.5, 2 / 3, 0.9):
             tp = oracle_tp(props, gts, threshold)
-            assert precision_recall_f(props, gts, threshold)[3] == tp, \
+            assert prf_at(props, gts, threshold)[3] == tp, \
                 (seed, threshold)
 
 
@@ -422,7 +433,7 @@ class TestSharedOverlaps:
         props = [prop(video=v, start=float(s), end=float(s + n),
                       category=c, score=score)
                  for (v, s, n, c), score in prop_specs]
-        per_class, map_values, _ = map_at(props, gts, thresholds, 3)
+        per_class, map_values, _ = map_of(props, gts, thresholds, 3)
         for threshold in thresholds:
             want = {c: reference_ap([p for p in props if p.category == c],
                                     [g for g in gts if g.category == c],
@@ -434,10 +445,10 @@ class TestSharedOverlaps:
                 [p for p in props if p.category == c],
                 [g for g in gts if g.category == c], threshold))
                 for c in {g.category for g in gts})
-            assert precision_recall_f(props, gts, threshold)[3] == tp
+            assert prf_at(props, gts, threshold)[3] == tp
         report = evaluate(props, gts, thresholds, 3)
         assert report.map_at_threshold == map_values
-        assert report.tp == precision_recall_f(props, gts, 0.5)[3]
+        assert report.tp == prf_at(props, gts, 0.5)[3]
 
     def test_each_iou_computed_once(self, monkeypatch):
         props, gts = tied_fixture(0)

@@ -350,5 +350,5 @@ class TestProposalJson:
     def test_from_json_maps_labels(self):
         payload = {"results": {"v": [
             {"label": "run", "score": 0.5, "segment": [1.0, 2.0]}]}}
-        (p,) = proposals_from_json(payload, ["walk", "run"])
+        (p,) = proposals_from_json(payload, ["walk", "run"], "proposals")
         assert p.category == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import grad_check
 from wtal import numkit
 from wtal.config import LossConfig
 from wtal.losses import (attention_norm_loss, classification_loss,
@@ -55,7 +56,7 @@ class TestClassificationLoss:
             return (classification_loss(y, p["y_hat"]),
                     {"y_hat": classification_loss_grad(y, p["y_hat"])})
 
-        assert numkit.grad_check(fn, params).passed
+        assert grad_check(fn, params).passed
 
 
 class TestAttentionNormLoss:
@@ -127,7 +128,7 @@ class TestAttentionNormLoss:
             val, grad = attention_norm_loss(p["a"], 4)
             return val, {"a": grad}
 
-        assert numkit.grad_check(fn, params).passed
+        assert grad_check(fn, params).passed
 
 
 class TestPseudoGtLoss:
@@ -157,17 +158,17 @@ class TestPseudoGtLoss:
             val, grad = pseudo_gt_loss(p["a"], gt)
             return val, {"a": grad}
 
-        assert numkit.grad_check(fn, params).passed
+        assert grad_check(fn, params).passed
 
 
 class TestTotalLoss:
     def test_weights_zero(self):
         cfg = LossConfig(alpha=0.0, gamma=0.0)
-        assert total_loss(1.7, -0.4, cfg) == 1.7
+        assert total_loss(1.7, -0.4, cfg, gt_value=None) == 1.7
 
     def test_base_combination(self):
         cfg = LossConfig(alpha=0.1)
-        assert abs(total_loss(1.0, -0.5, cfg) - 0.95) < 1e-12
+        assert abs(total_loss(1.0, -0.5, cfg, gt_value=None) - 0.95) < 1e-12
 
     def test_full_combination(self):
         cfg = LossConfig(alpha=0.1, gamma=2.0)

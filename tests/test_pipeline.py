@@ -318,7 +318,7 @@ def field_texts(fields):
     assert fields.dtype == np.uint8
     assert fields.shape[1:] == (pipeline._FIELD,)
     data = fields.tobytes().decode("ascii")
-    return [data[i:i + pipeline._FIELD].replace(" ", "")
+    return [data[i:i + pipeline._FIELD].replace("\0", "")
             for i in range(0, len(data), pipeline._FIELD)]
 
 
@@ -372,7 +372,7 @@ def trained(tmp_path_factory):
                                       LossConfig(), refine_cfg,
                                       seed=4).models
     for stream, model in models.items():
-        basemodel.save_checkpoint(root / f"{stream}.ckpt", model)
+        basemodel.save_checkpoint(root / f"{stream}.ckpt", model, meta={})
     pseudo = {kind: consensus.compute_pseudo_gt(
         models, dataset.train, RefinementConfig(kind=kind))
         for kind in ("hard", "soft")}
@@ -436,7 +436,7 @@ class TestPlotWorkers:
         dataset = trained["dataset"]
         videos = dataset.train if case in ("hard", "soft") else dataset.test
         videos = videos[:1] if case == "single" else videos
-        pseudo = trained["pseudo"].get(case)
+        pseudo = trained["pseudo"].get(case, {})
         files = {}
         for workers in (1, 2, 3, len(videos) + 2, parallel.cpus()):
             set_cpus(workers)
@@ -453,7 +453,7 @@ class TestPlotWorkers:
         if case != "single":
             assert 'stroke-width="1.5"' in svg   # proposal rectangles
         csv_header = files[1][f"{videos[0].id}.csv"].split(b"\r\n")[0]
-        assert csv_header.endswith(b",pseudo_gt") == (pseudo is not None)
+        assert csv_header.endswith(b",pseudo_gt") == bool(pseudo)
         for workers, found in files.items():
             assert found == files[1], workers
 
@@ -477,7 +477,7 @@ class TestPlotWorkers:
                 set_cpus(workers)
                 out = tmp_path / f"bundle-{factor}-{workers}"
                 pipeline.write_plot_bundle(out, models, videos, loc_cfg,
-                                           beta)
+                                           beta, pseudo_by_video={})
                 assert_no_child_left()
                 assert files_of(out) == expected, (factor, workers)
             config = tmp_path / f"config-{factor}.json"
@@ -537,7 +537,8 @@ class TestPlotWorkers:
         with pytest.raises(DataError) as info:
             pipeline.write_plot_bundle(out, trained["models"],
                                        trained["dataset"].test,
-                                       LocalizationConfig(), trained["beta"])
+                                       LocalizationConfig(), trained["beta"],
+                                       pseudo_by_video={})
         assert_no_child_left()
         message = str(info.value)
         assert "\n" not in message
