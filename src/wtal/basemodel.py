@@ -145,24 +145,22 @@ def backward(model, fp, d_attention, d_prediction, out):
     """
     if out.config != model.config:
         raise ShapeError("gradient buffer config does not match the model")
-    out.flat.fill(0.0)
-    grads = dict(out.params)
     embedded = fp.embedded
     attention = fp.attention
 
     d_logits = numkit.softmax_backward(fp.video_prediction, d_prediction)
     d_fg, d_w, d_b = numkit.fc_backward(fp.foreground_feature,
                                         model.params["cls_w"], d_logits)
-    grads["cls_w"] += d_w
-    grads["cls_b"] += d_b
+    out.params["cls_w"][...] = d_w
+    out.params["cls_b"][...] = d_b
     # attention-weighted pooling: quotient rule through sum(attention)
     att_sum = attention.sum()
     d_att = d_attention + (embedded - fp.foreground_feature) @ d_fg / att_sum
     d_embedded = np.outer(attention, d_fg) / att_sum
 
     d_att_logit = numkit.sigmoid_backward(attention, d_att)
-    grads["att_w"] += embedded.T @ d_att_logit
-    grads["att_b"] += d_att_logit.sum()
+    out.params["att_w"][...] = embedded.T @ d_att_logit
+    out.params["att_b"][...] = d_att_logit.sum()
     d_embedded += np.outer(d_att_logit, model.params["att_w"])
 
     d_x = d_embedded
@@ -171,8 +169,8 @@ def backward(model, fp, d_attention, d_prediction, out):
         d_x, d_w, d_b = numkit.temporal_conv_backward(
             fp.conv_inputs[layer], model.params[f"conv{layer}_w"], d_pre,
             need_input=layer > 0)
-        grads[f"conv{layer}_w"] += d_w
-        grads[f"conv{layer}_b"] += d_b
+        out.params[f"conv{layer}_w"][...] = d_w
+        out.params[f"conv{layer}_b"][...] = d_b
     return out.params
 
 

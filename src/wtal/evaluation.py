@@ -86,29 +86,18 @@ def _match(overlaps, threshold):
     return flags
 
 
-def _ap_of_flags(flags, num_gt):
-    """All-point average precision of TP flags in rank order."""
+def average_precision(records, num_gt, iou_threshold):
+    """All-point average precision for one class, from its _overlaps
+    records and its GT count (at least 1): greedy matching at
+    ``iou_threshold``, then the mean over the GT of the precision at
+    each TP's rank. ``map_at`` calls it for each class with GT."""
     tp = 0
     total = 0.0
-    for rank, flag in enumerate(flags, start=1):
+    for rank, flag in enumerate(_match(records, iou_threshold), start=1):
         if flag:
             tp += 1
             total += tp / rank
     return total / num_gt
-
-
-def average_precision(proposals, gts, iou_threshold):
-    """All-point average precision for one class.
-
-    Returns None when there is no ground truth for the class (the class
-    is then excluded from the mean, with a note in the report). Only the
-    tests call it (``map_at`` scores each class from ``class_overlaps``),
-    and the benchmark's tracer lists it among the names it wraps.
-    """
-    if not gts:
-        return None
-    return _ap_of_flags(_match(_overlaps(proposals, gts), iou_threshold),
-                        len(gts))
 
 
 @dataclass
@@ -164,8 +153,8 @@ def _by_category(items):
 
 def class_overlaps(proposals, gts):
     """{category: (_overlaps records of its proposals against its GT,
-    its GT count)} for each category that has GT. map_at and
-    precision_recall_f take it to share one IoU pass."""
+    its GT count)} for each category that has GT: the one IoU pass that
+    every figure of a report (map_at, precision_recall_f) reads."""
     by_class_props = _by_category(proposals)
     return {c: (_overlaps(by_class_props[c], class_gts), len(class_gts))
             for c, class_gts in _by_category(gts).items()}
@@ -174,7 +163,8 @@ def class_overlaps(proposals, gts):
 def map_at(overlaps, thresholds, num_classes):
     """Per-class AP and the mean over classes of AP at each threshold,
     from ``overlaps``, the class_overlaps of the proposals and the GT.
-    Classes with no GT are excluded, each with a note."""
+    Each class with GT is scored by average_precision; a class with no
+    GT gets None and is excluded from the mean, with a note."""
     if not overlaps:    # it has a key for each class with GT
         raise ValueError("no ground truth segments")
     classes = range(1, num_classes + 1)
@@ -183,8 +173,7 @@ def map_at(overlaps, thresholds, num_classes):
     per_class = {}
     map_values = {}
     for threshold in thresholds:
-        aps = {c: _ap_of_flags(_match(overlaps[c][0], threshold),
-                               overlaps[c][1])
+        aps = {c: average_precision(*overlaps[c], threshold)
                if c in overlaps else None for c in classes}
         per_class[threshold] = aps
         valid = [ap for ap in aps.values() if ap is not None]
@@ -192,16 +181,16 @@ def map_at(overlaps, thresholds, num_classes):
     return per_class, map_values, notes
 
 
-def precision_recall_f(proposals, gts, iou_threshold, overlaps):
+def precision_recall_f(overlaps, num_proposals, iou_threshold):
     """Detection (precision, recall, F, TP count) at one IoU threshold,
     greedy matching per class and per video in descending score order.
-    ``overlaps`` is class_overlaps(proposals, gts)."""
+    ``overlaps`` is the class_overlaps of the ``num_proposals``
+    proposals and the GT; the GT count is the sum of its counts."""
     # a class with proposals but no GT adds no TP
     tp = sum(sum(_match(records, iou_threshold))
              for records, _ in overlaps.values())
-    n_props = len(proposals)
-    n_gt = len(gts)
-    precision = tp / n_props if n_props else 0.0
+    n_gt = sum(num_gt for _, num_gt in overlaps.values())
+    precision = tp / num_proposals if num_proposals else 0.0
     recall = tp / n_gt if n_gt else 0.0
     f = 2 * precision * recall / (precision + recall) \
         if precision + recall > 0 else 0.0
@@ -213,8 +202,8 @@ def evaluate(proposals, gts, thresholds, num_classes):
     IoU pass."""
     overlaps = class_overlaps(proposals, gts)
     per_class, map_values, notes = map_at(overlaps, thresholds, num_classes)
-    precision, recall, f, tp = precision_recall_f(proposals, gts, 0.5,
-                                                  overlaps)
+    precision, recall, f, tp = precision_recall_f(overlaps, len(proposals),
+                                                  0.5)
     return EvalReport(
         thresholds=list(thresholds),
         map_at_threshold=map_values,

@@ -82,7 +82,7 @@ def oic_score(start, end, weights):
     return inner_mean - margin_mean
 
 
-def localize(video_id, rgb_out, flow_out, config, beta, mode="fused"):
+def localize(video_id, rgb_out, flow_out, config, beta, mode):
     """Turn two streams' forward outputs into scored proposals.
 
     mode, one of MODES, selects which attention/T-CAM/prediction drive

@@ -355,7 +355,7 @@ def _plot_video(out_dir, models, video, loc_cfg, beta, pseudo):
     """Write one video's attention CSV and SVG."""
     outs = stream_outputs(models, video)
     proposals = localization.localize(video.id, outs["rgb"], outs["flow"],
-                                      loc_cfg, beta)
+                                      loc_cfg, beta, "fused")
     factor = loc_cfg.upsample_factor
     # upsample, then fuse; localize fuses first, which differs in bits
     rgb, flow = (localization.upsample_linear(outs[s].attention, factor)

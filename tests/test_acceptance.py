@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from gradcheck import grad_check
-from test_evaluation import gt, oracle_average_precision, prop
-from wtal import (basemodel, cli, consensus, evaluation, localization,
-                  losses, numkit, pipeline, synthdata)
+from test_evaluation import ap_of, gt, oracle_average_precision, prop
+from wtal import (basemodel, cli, consensus, localization, losses, numkit,
+                  pipeline, synthdata)
 from wtal.basemodel import StreamModel
 from wtal.config import LossConfig, ModelConfig, resolved_config
 from wtal.consensus import STREAMS
@@ -250,7 +250,7 @@ class TestPseudoGtContracts:
 class TestEvaluatorOracle:
     def test_evaluator_matches_brute_force(self, report):
         worst = 0.0
-        fixture = evaluation.average_precision(
+        fixture = ap_of(
             [prop(start=0.0, end=1.0, score=0.9),
              prop(start=20.0, end=21.0, score=0.5),
              prop(start=10.0, end=11.0, score=0.1)],
@@ -279,8 +279,7 @@ class TestEvaluatorOracle:
                 for c in (1, 2):
                     sub_p = [p for p in props if p.category == c]
                     sub_g = [g for g in gts]
-                    got = evaluation.average_precision(sub_p, sub_g,
-                                                       threshold)
+                    got = ap_of(sub_p, sub_g, threshold)
                     want = oracle_average_precision(sub_p, sub_g,
                                                     threshold)
                     worst = max(worst, abs(got - want))

@@ -170,7 +170,7 @@ class TestBackward:
         for key in g1:
             np.testing.assert_allclose(g2[key], 2.0 * g1[key], atol=1e-12)
 
-    def test_out_buffer_is_zero_filled(self):
+    def test_out_buffer_is_overwritten(self):
         model = make_model()
         rng = np.random.default_rng(8)
         fp = basemodel.forward(model, rng.normal(size=(5, 4)))

@@ -27,8 +27,15 @@ def map_of(proposals, gts, thresholds, num_classes):
 
 def prf_at(proposals, gts, threshold):
     """precision_recall_f at one threshold, with its own IoU pass."""
-    return precision_recall_f(proposals, gts, threshold,
-                              class_overlaps(proposals, gts))
+    return precision_recall_f(class_overlaps(proposals, gts), len(proposals),
+                              threshold)
+
+
+def ap_of(proposals, gts, threshold):
+    """average_precision of one class's proposals and its GT (at least
+    one segment), with its own IoU pass."""
+    return average_precision(evaluation._overlaps(proposals, gts), len(gts),
+                             threshold)
 
 
 def oracle_average_precision(proposals, gts, threshold):
@@ -133,25 +140,22 @@ class TestIou:
 
 class TestAveragePrecision:
     def test_single_match(self):
-        ap = average_precision([prop(score=0.9)], [gt()], 0.5)
+        ap = ap_of([prop(score=0.9)], [gt()], 0.5)
         assert ap == 1.0
 
     def test_tp_above_fp(self):
         props = [prop(start=0.0, end=1.0, score=0.9),
                  prop(start=5.0, end=6.0, score=0.1)]
-        assert average_precision(props, [gt(start=0.0, end=1.0)], 0.5) == 1.0
+        assert ap_of(props, [gt(start=0.0, end=1.0)], 0.5) == 1.0
 
     def test_fp_between_two_tps(self):
         props = [prop(start=0.0, end=1.0, score=0.9),
                  prop(start=20.0, end=21.0, score=0.5),
                  prop(start=10.0, end=11.0, score=0.1)]
         gts = [gt(start=0.0, end=1.0), gt(start=10.0, end=11.0)]
-        ap = average_precision(props, gts, 0.5)
+        ap = ap_of(props, gts, 0.5)
         assert abs(ap - (1.0 / 1.0 + 2.0 / 3.0) / 2.0) < 1e-9
         assert abs(ap - 0.8333333333333333) < 1e-9
-
-    def test_no_gt_returns_none(self):
-        assert average_precision([prop()], [], 0.5) is None
 
     def test_rank_only_score_dependence(self):
         rng = np.random.default_rng(18)
@@ -159,10 +163,10 @@ class TestAveragePrecision:
                       score=float(s))
                  for i, s in enumerate(rng.permutation(6))]
         gts = [gt(start=0.0, end=1.0), gt(start=3.0, end=4.0)]
-        base = average_precision(props, gts, 0.5)
+        base = ap_of(props, gts, 0.5)
         squashed = [prop(p.video_id, p.start, p.end, p.category,
                          np.tanh(p.score)) for p in props]
-        assert abs(average_precision(squashed, gts, 0.5) - base) < 1e-12
+        assert abs(ap_of(squashed, gts, 0.5) - base) < 1e-12
 
     def test_lowest_score_fp_never_increases_ap(self):
         rng = np.random.default_rng(19)
@@ -171,19 +175,19 @@ class TestAveragePrecision:
                           score=float(rng.uniform(0.5, 1.0)))
                      for i in range(4)]
             gts = [gt(start=0.0, end=2.0), gt(start=3.0, end=5.0)]
-            base = average_precision(props, gts, 0.5)
+            base = ap_of(props, gts, 0.5)
             worse = props + [prop(start=50.0, end=51.0, score=0.01)]
-            assert average_precision(worse, gts, 0.5) <= base + 1e-12
+            assert ap_of(worse, gts, 0.5) <= base + 1e-12
 
     def test_matching_is_per_video(self):
         props = [prop(video="a", score=0.9)]
         gts = [gt(video="b")]
-        assert average_precision(props, gts, 0.5) == 0.0
+        assert ap_of(props, gts, 0.5) == 0.0
 
     def test_each_gt_matched_once(self):
         props = [prop(start=0.0, end=1.0, score=0.9),
                  prop(start=0.0, end=1.0, score=0.8)]
-        ap = average_precision(props, [gt(start=0.0, end=1.0)], 0.5)
+        ap = ap_of(props, [gt(start=0.0, end=1.0)], 0.5)
         assert ap == 1.0  # the duplicate is an FP after the first match
 
     @pytest.mark.parametrize("seed", range(30))
@@ -206,7 +210,7 @@ class TestAveragePrecision:
                               end=float(end),
                               score=float(rng.uniform())))
         for threshold in (0.1, 0.3, 0.5, 0.7):
-            got = average_precision(props, gts, threshold)
+            got = ap_of(props, gts, threshold)
             want = oracle_average_precision(props, gts, threshold)
             assert abs(got - want) < 1e-9, (seed, threshold)
 

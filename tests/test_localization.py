@@ -205,11 +205,11 @@ class TestLocalize:
     def test_low_attention_gives_no_proposals(self):
         out = make_outputs(np.full(10, 0.2), np.full((10, 3), 1.0 / 3.0),
                            [0.5, 0.3, 0.2])
-        assert localize("v", out, out, self.config, self.beta) == []
+        assert localize("v", out, out, self.config, self.beta, "fused") == []
 
     def test_single_box_yields_overlapping_proposal(self):
         out = self.outputs_with_box()
-        proposals = localize("v", out, out, self.config, self.beta)
+        proposals = localize("v", out, out, self.config, self.beta, "fused")
         assert proposals
         best = max(proposals, key=lambda p: p.score)
         assert best.category == 1
@@ -223,7 +223,7 @@ class TestLocalize:
         tcam = np.full((t, 3), 1.0 / 3.0)
         tcam[4:8] = [0.6, 0.3, 0.1]
         out = make_outputs(attention, tcam, [0.5, 0.5, 0.0])
-        proposals = localize("v", out, out, self.config, self.beta)
+        proposals = localize("v", out, out, self.config, self.beta, "fused")
         by_cat = {}
         for p in proposals:
             by_cat.setdefault(p.category, []).append(p)
@@ -245,7 +245,7 @@ class TestLocalize:
             out = make_outputs(attention, tcam, pred)
             allowed = set(select_categories(pred, self.config.top_k,
                                             self.config.class_score_floor))
-            for p in localize("v", out, out, self.config, self.beta):
+            for p in localize("v", out, out, self.config, self.beta, "fused"):
                 assert p.category in allowed
                 assert p.score > 0.0
 
@@ -260,7 +260,7 @@ class TestLocalize:
 
     def test_boundaries_in_snippet_units(self):
         out = self.outputs_with_box()
-        proposals = localize("v", out, out, self.config, self.beta)
+        proposals = localize("v", out, out, self.config, self.beta, "fused")
         for p in proposals:
             assert 0.0 <= p.start < p.end <= 12.0
 
@@ -308,14 +308,14 @@ class TestLocalizeScoredColumns:
         config = LocalizationConfig(upsample_factor=factor, top_k=top_k,
                                     class_score_floor=floor)
         beta = RefinementConfig().beta
-        assert localize("v", rgb, flow, config, beta) == \
+        assert localize("v", rgb, flow, config, beta, "fused") == \
             reference_localize("v", rgb, flow, config, beta)
 
     def test_no_category_above_floor(self):
         out = make_outputs(np.full(6, 0.9), np.full((6, 3), 1.0 / 3.0),
                            [0.4, 0.3, 0.3])
         config = LocalizationConfig(class_score_floor=0.5)
-        assert localize("v", out, out, config, 0.5) == []
+        assert localize("v", out, out, config, 0.5, "fused") == []
 
 
 class TestProposalJson:

@@ -396,7 +396,7 @@ def reference_plot(out_dir, models, video, loc_cfg, beta):
     """One video's CSV and SVG by the reference writers."""
     outs = pipeline.stream_outputs(models, video)
     proposals = localization.localize(video.id, outs["rgb"], outs["flow"],
-                                      loc_cfg, beta)
+                                      loc_cfg, beta, "fused")
     rgb, flow = (localization.upsample_linear(outs[s].attention,
                                               loc_cfg.upsample_factor)
                  for s in consensus.STREAMS)
