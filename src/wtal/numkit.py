@@ -2,13 +2,13 @@
 passes, the convex fusion of two streams, and the Adam optimizer.
 
 All arrays are float64 numpy arrays, and no function here converts its
-inputs (``basemodel.forward`` converts the features, the one conversion
-outside the readers). Nor do they check them: the shapes they get are
-the ones ``basemodel.param_layout`` builds from a checked
-``ModelConfig``, and the fusion weight is a checked
-``RefinementConfig.beta`` (or 1 or 0, a single stream). Every backward
-function is a pure function of the recorded forward inputs, so there is
-no tape.
+inputs: ``basemodel.forward`` makes the float64 copy of a video's
+float32 features, the one place features are converted. Nor do they
+check them: the shapes they get are the ones ``basemodel.param_layout``
+builds from a checked ``ModelConfig``, and the fusion weight is a
+checked ``RefinementConfig.beta`` (or 1 or 0, a single stream). Every
+backward function is a pure function of the recorded forward inputs, so
+there is no tape.
 """
 
 from dataclasses import dataclass

@@ -15,7 +15,6 @@ Ground-truth segments use 1-based inclusive snippet indices; categories
 are 1-based.
 """
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -70,8 +69,8 @@ class GeneratorConfig:
 class VideoSample:
     id: str
     label: np.ndarray                 # (C,), nonnegative, sums to 1
-    rgb: np.ndarray                   # (T, D) float64
-    flow: np.ndarray                  # (T, D) float64
+    rgb: np.ndarray                   # (T, D) float32, as stored on disk
+    flow: np.ndarray                  # (T, D) float32, as stored on disk
     gt_segments: list | None          # [(start, end, category)] or None
     # generator bookkeeping, never serialized
     confounders: list = field(default_factory=list)
@@ -180,10 +179,9 @@ def generate(config):
         for _, _, cat in segments:
             label[cat - 1] = 1.0
         label /= label.sum()
-        # quantize to the on-disk precision so save/load is bit-exact
-        rgb = rgb.astype(np.float32).astype(np.float64)
-        flow = flow.astype(np.float32).astype(np.float64)
-        return VideoSample(id=vid, label=label, rgb=rgb, flow=flow,
+        # kept at the on-disk width, so save/load is bit-exact
+        return VideoSample(id=vid, label=label, rgb=rgb.astype(np.float32),
+                           flow=flow.astype(np.float32),
                            gt_segments=sorted(segments),
                            confounders=confounders, suppressed=suppressed)
 
@@ -207,8 +205,9 @@ def save(dataset, directory):
 
 
 def _read_features(where, path, t, d):
-    """The (T, D) features at path; a fault names where (the manifest
-    entry, whose T and D may be at fault as much as the file) too."""
+    """The (T, D) float32 features at path, a read-only view of the bytes
+    read; a fault names where (the manifest entry, whose T and D may be at
+    fault as much as the file) too."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -218,19 +217,16 @@ def _read_features(where, path, t, d):
         raise DataError(f"{where}: {path}: expected {t}x{d} float32 values, "
                         f"found {len(raw)} bytes")
     values = np.frombuffer(raw, dtype="<f4")
-    features = values.astype(np.float64).reshape(t, d)
-    flat = features.ravel()
-    # squares of float32 values cannot overflow a float64 sum, so it is
-    # finite exactly when every value is; unlike np.isfinite(values).all()
-    # it makes no temporary array (those raised the peak memory of loading
-    # a data set by about 0.3 MB), and unlike a plain sum it never meets
-    # inf - inf, which would print a numpy warning
-    if not math.isfinite(flat @ flat):
+    # np.isfinite makes one temporary, a bool per value (a quarter of the
+    # file's bytes). A float32 sum of squares overflows once |v| > ~1.8e19,
+    # which would reject finite data, and a plain sum meets inf - inf,
+    # which prints a numpy warning.
+    if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise DataError(f"{where}: {path}: value {values[bad]} at snippet "
                         f"{bad // d + 1}, dimension {bad % d + 1} is not "
                         "finite")
-    return features
+    return values.reshape(t, d)
 
 
 def load(directory, split=None):

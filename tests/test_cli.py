@@ -1,6 +1,7 @@
 import contextlib
 import ctypes
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -201,6 +202,32 @@ class TestGenData:
                          "--out", str(other)]) == 0
         for path in sorted(workspace["data"].iterdir()):
             assert path.read_bytes() == (other / path.name).read_bytes()
+
+    def test_golden_bytes(self, tmp_path):
+        """The sha256 of each file of a tiny seeded data set: the bytes
+        every change to how features are generated, held or saved keeps."""
+        out = tmp_path / "golden"
+        assert cli.main(["gen-data", "--videos", "2", "--test-videos", "1",
+                         "--classes", "3", "--dim", "4", "--seed", "11",
+                         "--out", str(out)]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out.iterdir()}
+        assert digests == {
+            "manifest.json": "08e83d379d907f09b89bb3785a2ea56e"
+                             "ea1632a2cc1a5b1c84e47917f06b3cf4",
+            "test_0000_flow.bin": "52407789c40b81b87c3769ea2ad7a975"
+                                  "6d9dae8d38c79fd7b34d2973138536c1",
+            "test_0000_rgb.bin": "6ef164da76c8951c29ba5ad664b4841a"
+                                 "f09deeab1edcef56aac11d9f241df794",
+            "train_0000_flow.bin": "a3b11daf867c73ea6f1e4238f78e73ed"
+                                   "5da40be9dee58d1e5c40f09dfb6941ea",
+            "train_0000_rgb.bin": "430143270dcde367466790f973aa125d"
+                                  "39881fab446d6296993433a2915bd1fa",
+            "train_0001_flow.bin": "4811cb03efece7ae21cac4e613536e8c"
+                                   "7b5c8265396e52f425524db9b25ef41b",
+            "train_0001_rgb.bin": "7e22e3db27d080ea157c4f3263c49365"
+                                  "0c39ff9e5cbf76e4444fb1f8d7f8de94",
+        }
 
     def test_defaults_are_the_generator_config(self, tmp_path):
         out = tmp_path / "cli"

@@ -1,6 +1,7 @@
-"""Outside the readers, basemodel.forward is the one place an array is
-converted: every numeric helper downstream of it takes the float64
-arrays it is handed."""
+"""basemodel.forward is the one place an array is converted: the readers
+and the generator keep features at their on-disk float32 width, forward
+makes each video's float64 copy, and every numeric helper downstream of
+it takes the float64 arrays it is handed."""
 
 import ast
 import inspect
@@ -15,6 +16,7 @@ import numpy as np
 from wtal import (basemodel, cli, consensus, evaluation,  # noqa: F401
                   localization, losses, numkit, parallel, pipeline,
                   synthdata)
+from wtal.config import ModelConfig
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wtal"
 
@@ -99,12 +101,10 @@ def probe_helpers(monkeypatch):
     return calls, wrong
 
 
-def test_helpers_get_float64_arrays(tmp_path, monkeypatch, set_cpus):
+def run_commands(tmp_path):
     """A tiny train (hard and soft pseudo GT, smoothed, dumped), localize
-    in every mode and plot with pseudo GT, in this one process: every
-    helper is called, each time with float64 ndarrays only."""
-    set_cpus(1)
-    calls, wrong = probe_helpers(monkeypatch)
+    in every mode and plot with pseudo GT, in this one process when it
+    has one CPU."""
     data = tmp_path / "data"
     assert cli.main(["gen-data", "--videos", "4", "--test-videos", "2",
                      "--classes", "3", "--dim", "8", "--seed", "3",
@@ -127,5 +127,59 @@ def test_helpers_get_float64_arrays(tmp_path, monkeypatch, set_cpus):
     assert cli.main(["plot", *checkpoints, "--split", "train",
                      "--pseudo-gt-dir", str(run / "pseudo_gt" / "iter1"),
                      "--out", str(tmp_path / "plot")]) == 0
+
+
+def test_helpers_get_float64_arrays(tmp_path, monkeypatch, set_cpus):
+    """Over run_commands every helper is called, each time with float64
+    ndarrays only."""
+    set_cpus(1)
+    calls, wrong = probe_helpers(monkeypatch)
+    run_commands(tmp_path)
     assert [name for name, n in calls.items() if not n] == []
     assert wrong == set()
+
+
+# the callers of basemodel.forward, innermost first: the pseudo GT is
+# computed inside cmd_train
+CALLERS = ("compute_pseudo_gt", "cmd_train", "cmd_localize", "cmd_plot")
+
+
+def test_forward_gets_float32_features(tmp_path, monkeypatch, set_cpus):
+    """Over run_commands, basemodel.forward is handed each video's
+    features as they were read, float32 ndarrays, in training, in the
+    pseudo GT, in localize and in plot: no reader makes a float64 copy
+    ahead of forward's own."""
+    set_cpus(1)
+    handed = {}
+    forward = basemodel.forward
+
+    def probed(model, features):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        caller = next(name for name in CALLERS if name in names)
+        handed.setdefault(caller, set()).add(
+            f"{type(features).__name__} {features.dtype}")
+        return forward(model, features)
+
+    monkeypatch.setattr(basemodel, "forward", probed)
+    run_commands(tmp_path)
+    assert handed == dict.fromkeys(CALLERS, {"ndarray float32"})
+
+
+def test_infer_same_bits_from_float32_and_float64():
+    """forward's float64 copy is exact, so a video's float32 features and
+    their float64 widening give bit-identical outputs."""
+    dataset = synthdata.generate(synthdata.GeneratorConfig(
+        num_train=1, num_test=1, num_classes=3, feature_dim=6, seed=5))
+    config = ModelConfig(feature_dim=6, num_classes=3)
+    model = basemodel.StreamModel.initialize(config, "flow",
+                                             np.random.default_rng(5))
+    features = dataset.test[0].flow
+    assert features.dtype == np.float32
+    narrow = basemodel.infer(model, features)
+    wide = basemodel.infer(model, features.astype(np.float64))
+    for name in ("attention", "video_prediction", "tcam"):
+        assert getattr(narrow, name).tobytes() == \
+            getattr(wide, name).tobytes(), name

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,8 +78,8 @@ class TestGenerate:
             for s, e, _ in v.confounders:
                 conf[s - 1:e] = True
             bg = ~inside
-            rgb_energy = (v.rgb ** 2).sum(axis=1)
-            flow_energy = (v.flow ** 2).sum(axis=1)
+            rgb_energy = (v.rgb.astype(np.float64) ** 2).sum(axis=1)
+            flow_energy = (v.flow.astype(np.float64) ** 2).sum(axis=1)
             rgb_conf.append(rgb_energy[conf].mean())
             rgb_bg.append(rgb_energy[bg].mean())
             flow_conf.append(flow_energy[conf].mean())
@@ -103,7 +104,7 @@ class TestGenerate:
                 action[s - 1:e] = True
             bg = ~inside
             for name, feats in (("rgb", v.rgb), ("flow", v.flow)):
-                energy = (feats ** 2).sum(axis=1)
+                energy = (feats.astype(np.float64) ** 2).sum(axis=1)
                 gains[name].append(energy[action].mean()
                                    - energy[bg].mean())
         assert np.mean(gains["rgb"]) > 0
@@ -186,6 +187,22 @@ class TestSaveLoad:
             loaded = synthdata.load(tmp_path)
             np.testing.assert_array_equal(loaded.train[0].flow.ravel(),
                                           data)
+        else:
+            with pytest.raises(DataError, match="not finite"):
+                synthdata.load(tmp_path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1e20, np.inf, np.nan])
+    def test_finite_check_prints_no_warning(self, tmp_path, value):
+        """value and -value side by side: squares that overflow float32,
+        inf - inf and NaN are judged without a numpy warning."""
+        synthdata.save(synthdata.generate(small_config()), tmp_path)
+        path = tmp_path / feature_files(tmp_path)[0]
+        data = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
+        data[:2] = value, -value
+        path.write_bytes(data.tobytes())
+        if np.isfinite(value):
+            synthdata.load(tmp_path)
         else:
             with pytest.raises(DataError, match="not finite"):
                 synthdata.load(tmp_path)
@@ -289,6 +306,49 @@ class TestLoadSplit:
         synthdata.load(tmp_path, split="train")
         with pytest.raises(DataError, match="not finite"):
             synthdata.load(tmp_path, split="test")
+
+
+def traced_peak(function, *args, **kwargs):
+    """(function's result, the peak bytes tracemalloc saw it add), also
+    under a tracemalloc that was already tracing."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        result = function(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestFeatureWidth:
+    """Features stay at their on-disk float32 width in memory;
+    basemodel.forward makes the one float64 copy, a video at a time."""
+
+    def test_generate_and_load_hold_float32_only(self, tmp_path):
+        config = small_config(num_train=20, num_test=20, feature_dim=32,
+                              t_range=(160, 320))
+        # a first run makes what numpy sets up lazily (np.linalg, say)
+        synthdata.save(synthdata.generate(small_config()), tmp_path)
+        synthdata.load(tmp_path, split="test")
+        dataset, generate_peak = traced_peak(synthdata.generate, config)
+        synthdata.save(dataset, tmp_path)
+        loaded, load_peak = traced_peak(synthdata.load, tmp_path,
+                                        split="test")
+
+        for videos in (dataset.all_videos(), loaded.test):
+            for v in videos:
+                for features in (v.rgb, v.flow):
+                    assert features.dtype == np.float32
+                    assert features.nbytes == 4 * v.num_snippets * 32
+
+        def stored(videos):
+            """Bytes of the videos' features at 4 bytes a value."""
+            return sum(2 * 4 * v.num_snippets * 32 for v in videos)
+        assert generate_peak < 1.25 * stored(dataset.all_videos())
+        assert load_peak < 1.25 * stored(loaded.test)
 
 
 class TestRepeatedKeys:
