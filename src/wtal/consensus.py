@@ -1,5 +1,6 @@
-"""Pseudo ground truth from the two streams' fused attention, and the
-iterative refinement training loop.
+"""Pseudo ground truth from the two streams' fused attention, the
+iterative refinement training loop, and their CSVs, each read and written
+with the csv module: a video's pseudo GT and the training log.
 
 Iteration 0 trains both streams with the video-level objective only.
 Before every later iteration, the per-stream checkpoints with the lowest
@@ -11,13 +12,14 @@ float64 arrays of ``basemodel.forward`` and of each other as they are;
 """
 
 import csv
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import basemodel, losses, numkit, parallel
-from .formats import DataError, NumericError, shown, write_csv
+from .formats import DataError, NumericError, shown
 from .numkit import fuse_attention
 
 STREAMS = ("rgb", "flow")
@@ -33,9 +35,10 @@ FORK_MIN_WORK = 33000
 
 def save_pseudo_gt(path, values):
     """CSV with header "snippet,pseudo_gt", one row per 1-based snippet."""
-    values = values.tolist()
-    write_csv(path, ["snippet", "pseudo_gt"],
-              [range(1, len(values) + 1), values])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["snippet", "pseudo_gt"])
+        writer.writerows(enumerate(values.tolist(), start=1))
 
 
 def load_pseudo_gt(path, num_snippets):
@@ -115,9 +118,10 @@ def save_training_log(path, rows):
     """CSV with one column per LogRow field; floats are written as their
     shortest round-trip repr, an absent pseudo-GT mean as an empty cell."""
     names = [f.name for f in fields(LogRow)]
-    columns = [[getattr(row, name) for row in rows] for name in names]
-    write_csv(path, names, [["" if v is None else v for v in column]
-                            for column in columns])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows(map(operator.attrgetter(*names), rows))
 
 
 @dataclass

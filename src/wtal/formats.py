@@ -1,20 +1,17 @@
-"""The JSON files the CLI reads and writes, the CSV body writer, the
-localization modes, and the errors the CLI reports.
+"""The JSON files the CLI reads and writes, the localization modes, and
+the errors the CLI reports.
 
 A dataset directory holds manifest.json (classes, feature width, and per
 video its id, split, T, label, feature file names and ground truth) next
 to the raw feature files, which this module never opens. A proposals
 file holds {"results": {video_id: [{label, score, segment}]}}. Both are
 read and written here, and every JSON file is written by write_json.
-The training log and pseudo ground truth CSVs are written by write_csv
-(pipeline.write_attention_csv writes the plot data's CSVs, with the
-same cells, from byte arrays). parse_json is the one JSON parse and
-check_object the one check of a JSON object's keys and value types, for
-the config, the manifest, the proposals file and a checkpoint header
-alike. Every reader checks what it reads and raises a one-line
-DataError naming the file and the field, echoing an input through
-shown. The module imports no numpy, so ``wtal eval``, which reads these
-two files and a config, never loads it.
+parse_json is the one JSON parse and check_object the one check of a
+JSON object's keys and value types, for the config, the manifest, the
+proposals file and a checkpoint header alike. Every reader checks what
+it reads and raises a one-line DataError naming the file and the field,
+echoing an input through shown. The module imports no numpy, so ``wtal
+eval``, which reads these two files and a config, never loads it.
 """
 
 import json
@@ -167,17 +164,6 @@ def write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_csv(path, header, columns):
-    """Write a CSV of the header and one row per index of the equal-length
-    columns, as csv.writer writes cells that need no quoting: a str as it
-    is, an int in decimal, a float as its shortest round-trip repr, each
-    row ending in \\r\\n. Columns of unequal length are a ValueError."""
-    row = ",".join(["%s"] * len(columns)) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write("".join(map(row.__mod__, zip(*columns, strict=True))))
 
 
 # ---------------------------------------------------------------------------

@@ -145,13 +145,11 @@ def generate(config):
         lengths = [int(rng.integers(config.action_length[0],
                                     config.action_length[1] + 1))
                    for _ in range(n_actions)]
+        # with nothing occupied the first of n_actions >= 1 lengths is
+        # placed on its first draw, so a video carries at least one action
         spans = _place_segments(rng, t, lengths, [])
         segments = [(s, e, cat + 1)
                     for (s, e), cat in zip(spans, action_cats)]
-        # a video always carries at least one action
-        if not segments:
-            length = min(lengths[0], t)
-            segments = [(1, length, action_cats[0] + 1)]
 
         rgb = _smooth_noise(rng, (t, d), RGB_NOISE)
         flow = _smooth_noise(rng, (t, d), FLOW_NOISE)

@@ -178,6 +178,17 @@ class TestPseudoGtCsv:
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
 
+    # literal bytes: the test above builds its reference with csv.writer,
+    # the writer under test, so it cannot see the bytes change
+    @pytest.mark.parametrize("values, expected", [
+        ([], b"snippet,pseudo_gt\r\n"),
+        ([0.0, 1.0, 5e-324, float("nan")],
+         b"snippet,pseudo_gt\r\n1,0.0\r\n2,1.0\r\n3,5e-324\r\n4,nan\r\n")],
+        ids=["empty", "values"])
+    def test_literal_bytes(self, tmp_path, values, expected):
+        save_pseudo_gt(tmp_path / "v.csv", np.array(values))
+        assert (tmp_path / "v.csv").read_bytes() == expected
+
     def test_row_count_must_match(self, tmp_path):
         path = tmp_path / "v.csv"
         save_pseudo_gt(path, np.array([0.0, 1.0]))
@@ -205,6 +216,22 @@ class TestTrainingLog:
             writer.writerows(astuple(row) for row in rows)
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
+
+    # literal bytes: the test above builds its reference with csv.writer,
+    # the writer under test, so it cannot see the bytes change
+    HEADER = (b"iteration,epoch,stream,mean_cls_loss,mean_att_loss,"
+              b"mean_gt_loss,mean_total_loss\r\n")
+
+    @pytest.mark.parametrize("rows, body", [
+        ([], b""),
+        ([LogRow(0, 0, "rgb", 0.1 + 0.2, -0.5, None, 1e-17),
+          LogRow(1, 12, "flow", 5e-324, -0.0, 0.25, float("nan"))],
+         b"0,0,rgb,0.30000000000000004,-0.5,,1e-17\r\n"
+         b"1,12,flow,5e-324,-0.0,0.25,nan\r\n")],
+        ids=["no-rows", "rows"])
+    def test_literal_bytes(self, tmp_path, rows, body):
+        consensus.save_training_log(tmp_path / "log.csv", rows)
+        assert (tmp_path / "log.csv").read_bytes() == self.HEADER + body
 
 
 class TestRefinementConfig:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtal import formats, synthdata
 from wtal.formats import DataError
@@ -141,6 +143,20 @@ class TestGenerate:
         for v in dataset.all_videos():
             assert {cat for _, _, cat in v.gt_segments} <= {1, 2}
             assert v.label.shape == (2,)
+
+
+class TestPlaceSegments:
+    # generate relies on this for every video to carry an action
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.integers(1, 400),
+           lengths=st.lists(st.integers(1, 500), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_nothing_occupied_places_at_least_one(self, t, lengths, seed):
+        rng = np.random.default_rng(seed)
+        spans = synthdata._place_segments(rng, t, lengths, [])
+        assert spans
+        start, end = spans[0]
+        assert 1 <= start <= end <= t
 
 
 class TestSaveLoad:
