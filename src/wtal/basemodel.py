@@ -20,10 +20,6 @@ from .formats import DataError, check_object, parse_json, shown
 CHECKPOINT_MAGIC = "wtal-checkpoint-v1"
 
 
-class ShapeError(ValueError):
-    """Features or a gradient buffer that do not fit the model."""
-
-
 def param_layout(config):
     """Ordered (name, shape) of one stream's parameters: their order in
     the flat parameter vector and the order of the initial random draws."""
@@ -99,10 +95,11 @@ class ForwardPass:
 
 
 def forward(model, features):
-    """Run one stream on a (T, D) feature sequence."""
+    """Run one stream on a (T, D) feature sequence. D is the model's
+    ``feature_dim``: ``synthdata._read_features`` reads each file at the
+    manifest's D, and ``cli._load_inference_inputs`` refuses a
+    checkpoint of another width."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.config.feature_dim:
-        raise ShapeError("feature width does not match the model")
     conv_inputs = []
     conv_preacts = []
     for layer in range(model.config.conv_layers):
@@ -143,8 +140,6 @@ def backward(model, fp, d_attention, d_prediction, out):
     the same config, and is returned as its ``params``. Reusing ``out``
     across calls reuses its named views.
     """
-    if out.config != model.config:
-        raise ShapeError("gradient buffer config does not match the model")
     embedded = fp.embedded
     attention = fp.attention
 

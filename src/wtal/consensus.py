@@ -29,7 +29,8 @@ STREAMS = ("rgb", "flow")
 # the work moved to the worker costs twice the fork. Measured in `wtal
 # train` on 2 vCPUs: one stream takes about 9.1 us per snippet-epoch, and
 # the fork, with the wait for the worker to get a CPU of its own, up to
-# 150 ms.
+# 150 ms. The benchmark's tracer also sees only the parent's spans, so
+# its tiny traced runs need their training to stay in this process.
 FORK_MIN_WORK = 33000
 
 

@@ -96,16 +96,13 @@ def write_attention_csv(path, attention, factor, pseudo):
     values are formatted in one call (``_repr_fields``) and each pseudo
     GT field is repeated ``factor`` times; the columns are laid side by
     side with their separators, and the fields' zero-byte padding is
-    dropped with one mask. Rows of unequal length are a ValueError."""
+    dropped with one mask."""
     n = len(attention[0])
     values = list(attention)
     header = ["time", "attention_rgb", "attention_flow", "attention_fuse"]
     if pseudo is not None:
         header.append("pseudo_gt")
         values.append(pseudo)
-    if (any(len(row) != n for row in attention)
-            or (pseudo is not None and len(pseudo) * factor != n)):
-        raise ValueError("attention rows and pseudo GT of unequal length")
     fields = _repr_fields(np.concatenate(values))
     columns = [_time_fields(n, factor)]
     columns += [fields[i * n:(i + 1) * n] for i in range(3)]

@@ -3,7 +3,7 @@ import pytest
 
 from gradcheck import grad_check
 from wtal import basemodel, consensus, losses, numkit, synthdata
-from wtal.basemodel import ShapeError, StreamModel
+from wtal.basemodel import StreamModel
 from wtal.config import LossConfig, ModelConfig, RefinementConfig
 
 
@@ -68,10 +68,6 @@ class TestForward:
                      "foreground_feature"):
             np.testing.assert_array_equal(getattr(full, name),
                                           getattr(plain, name))
-
-    def test_feature_width_mismatch(self):
-        with pytest.raises(ShapeError):
-            basemodel.forward(make_model(feature_dim=4), np.ones((5, 3)))
 
     def test_initialization_is_seeded(self):
         a = make_model(seed=9).params
@@ -197,14 +193,6 @@ class TestBackward:
             d_prediction=rng.normal(size=3), out=buf) for _ in range(2))
         for key in first:
             assert second[key] is first[key] is buf.params[key]
-
-    def test_out_buffer_of_other_config_rejected(self):
-        model = make_model()
-        fp = basemodel.forward(model, np.ones((5, 4)))
-        other = make_model(embed_dim=5)
-        with pytest.raises(ShapeError, match="does not match"):
-            basemodel.backward(model, fp, d_attention=np.ones(5),
-                               d_prediction=np.ones(3), out=other)
 
 
 class TestCheckpoint:

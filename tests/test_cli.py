@@ -708,20 +708,29 @@ class TestLocalizeEval:
                          "--out", str(tmp_path / "p.json")]) == 2
         assert "modality" in capsys.readouterr().err
 
-    def test_checkpoint_shape_mismatch(self, workspace, tmp_path, capsys):
-        other_data = tmp_path / "wide"
+    @pytest.mark.parametrize("shape", [
+        pytest.param(["--classes", "3", "--dim", "16"], id="wide"),
+        pytest.param(["--classes", "4", "--dim", "8"], id="more-classes")])
+    @pytest.mark.parametrize("command", ["localize", "plot"])
+    def test_checkpoint_shape_mismatch(self, workspace, tmp_path, capsys,
+                                       command, shape):
+        other_data = tmp_path / "other"
         assert cli.main(["gen-data", "--videos", "2", "--test-videos", "1",
-                         "--classes", "3", "--dim", "16", "--seed", "0",
+                         *shape, "--seed", "0",
                          "--out", str(other_data)]) == 0
         run_dir = workspace["run"]
+        out = tmp_path / "out"
         capsys.readouterr()
-        assert cli.main(["localize",
+        assert cli.main([command,
                          "--checkpoint-rgb", str(run_dir / "iter1_rgb.ckpt"),
                          "--checkpoint-flow",
                          str(run_dir / "iter1_flow.ckpt"),
                          "--dataset", str(other_data),
-                         "--out", str(tmp_path / "p.json")]) == 2
-        assert "does not match" in capsys.readouterr().err
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {run_dir / 'iter1_rgb.ckpt'}: checkpoint shape does "
+            "not match the dataset\n")
+        assert not out.exists()
 
     def test_eval_without_ground_truth_is_data_error(self, workspace,
                                                      proposals, tmp_path,

@@ -177,12 +177,6 @@ class TestAttentionCsv:
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
 
-    def test_pseudo_of_wrong_length_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            pipeline.write_attention_csv(tmp_path / "a.csv",
-                                         attention_rows(4, 2, seed=0), 2,
-                                         pseudo=np.zeros(3))
-
 
 class TestAttentionSvg:
     @pytest.mark.parametrize("factor", FACTORS)

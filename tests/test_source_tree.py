@@ -1,10 +1,12 @@
 """src/wtal holds what its commands run: every top-level function and
 class there is named by code of the package that is itself reached, not
 only by the tests, and every parameter default there is left to by a
-call of the package."""
+call of the package. The numeric code raises only where it is the one
+guard of a rule; an input's rules are checked where it enters."""
 
 import ast
 import pathlib
+from collections import Counter
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wtal"
 
@@ -18,6 +20,28 @@ TEST_ONLY = {
 UNUSED_DEFAULTS = {
     "load.split": "the tests and run_experiment on an on-disk dataset "
                   "load both splits",
+}
+
+# the numeric modules, whose functions take arrays and values that the
+# package has built or already checked
+NUMERIC = ("numkit", "losses", "localization", "evaluation", "pipeline",
+           "basemodel", "consensus")
+
+# the file readers of the numeric modules, which check what they read
+READERS = {"basemodel.load_checkpoint", "consensus.load_pseudo_gt"}
+
+# the ``module.function`` of each raise in the numeric modules outside
+# the readers, each the one guard of its rule on some path
+GUARDS = {
+    "consensus.make_pseudo_gt": "fused attention outside [0, 1] or NaN "
+                                "before it becomes pseudo GT",
+    "consensus._train_one_iteration": "the NumericError of a loss that "
+                                      "is not finite",
+    "consensus.run_refinement": "an on-disk dataset with no train video "
+                                "in run_experiment",
+    "evaluation.gt_from_videos": "a video of the manifest without "
+                                 "'gt_segments'",
+    "evaluation.map_at": "a generated test split of no video",
 }
 
 
@@ -131,3 +155,27 @@ def test_every_default_is_left_to_by_a_call():
 
 def test_allowed_defaults_are_unused():
     assert set(UNUSED_DEFAULTS) <= set(unused_defaults(SOURCE, {}))
+
+
+def raises(source, modules, skip):
+    """``module.name`` of each raise in a top-level function or class of
+    the ``modules`` of the package at ``source`` (nested functions and
+    methods included), once per raise, apart from the definitions in
+    ``skip``."""
+    found = []
+    for module, node in top_level(source):
+        if module in modules and is_definition(node) \
+                and f"{module}.{node.name}" not in skip:
+            found += [f"{module}.{node.name}" for child in ast.walk(node)
+                      if isinstance(child, ast.Raise)]
+    return sorted(found)
+
+
+def test_numeric_code_raises_only_its_guards():
+    found = Counter(raises(SOURCE, NUMERIC, READERS))
+    extra = sorted((found - Counter(GUARDS.keys())).elements())
+    assert not extra, f"raises outside GUARDS: {extra}"
+
+
+def test_guards_raise():
+    assert set(GUARDS) <= set(raises(SOURCE, NUMERIC, READERS))
