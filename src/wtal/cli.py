@@ -131,12 +131,11 @@ def _load_inference_inputs(args):
     the chosen split, for localize and plot; only that split's features
     are read."""
     from . import basemodel, synthdata
-    from .consensus import STREAMS
     config = load_run_config(args.config)
     dataset = synthdata.load(args.dataset, split=args.split)
     sections = resolved_config(config, dataset, args.config)
     models = {}
-    for stream in STREAMS:
+    for stream in formats.STREAMS:
         path = getattr(args, f"checkpoint_{stream}")
         model, _ = basemodel.load_checkpoint(path)
         if model.modality != stream:

@@ -19,10 +19,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import basemodel, losses, numkit, parallel
-from .formats import DataError, NumericError, shown
+from .formats import STREAMS, DataError, NumericError, shown
 from .numkit import fuse_attention
-
-STREAMS = ("rgb", "flow")
 
 # An iteration trains the flow stream in a forked worker from this many
 # snippet-epochs (epochs x the train videos' snippets) per stream: where

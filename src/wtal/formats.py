@@ -1,5 +1,5 @@
-"""The JSON files the CLI reads and writes, the localization modes, and
-the errors the CLI reports.
+"""The JSON files the CLI reads and writes, the localization modes
+(MODES), the two streams (STREAMS), and the errors the CLI reports.
 
 A dataset directory holds manifest.json (classes, feature width, and per
 video its id, split, T, label, feature file names and ground truth) next
@@ -315,9 +315,11 @@ def write_manifest(directory, dataset):
 # proposals JSON
 
 # The localization modes, in the order of `wtal localize --mode`'s
-# choices; numpy-free here, so that the CLI parser loads no numpy for
-# them. localization.MODES is this tuple.
+# choices, and the two streams; here, so that the CLI parser loads no
+# numpy for the modes and `wtal localize` no trainer for the streams.
+# localization.MODES and consensus.STREAMS are these tuples.
 MODES = ("fused", "rgb", "flow")
+STREAMS = ("rgb", "flow")
 
 
 @dataclass

@@ -31,11 +31,8 @@ def upsample_linear(sequence, factor):
     p = np.clip((j + 0.5) / factor - 0.5, 0.0, t - 1.0)
     i0 = np.floor(p).astype(int)
     i1 = np.minimum(i0 + 1, t - 1)
-    frac = p - i0
-    if sequence.ndim == 1:
-        return (1.0 - frac) * sequence[i0] + frac * sequence[i1]
-    return ((1.0 - frac)[:, None] * sequence[i0]
-            + frac[:, None] * sequence[i1])
+    frac = (p - i0).reshape((-1,) + (1,) * (sequence.ndim - 1))
+    return (1.0 - frac) * sequence[i0] + frac * sequence[i1]
 
 
 def select_categories(probs, top_k, floor):

@@ -41,8 +41,8 @@ def attention_norm_loss(attention, s):
     top = descending[:l]
     value = float(attention[bottom].mean() - attention[top].mean())
     grad = np.zeros(t)
-    np.add.at(grad, bottom, 1.0 / l)
-    np.add.at(grad, top, -1.0 / l)
+    grad[bottom] = 1.0 / l
+    grad[top] -= 1.0 / l
     return value, grad
 
 

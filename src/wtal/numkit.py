@@ -78,12 +78,9 @@ def fc_backward(inp, weights, d_out):
 
 def sigmoid(x):
     """Numerically stable logistic function, elementwise."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid_backward(sig, d_out):

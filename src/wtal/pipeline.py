@@ -1,13 +1,14 @@
 """Glue between trained models, localization, and evaluation: the
 in-process experiment runner, and the plot-data emission (per-video
-attention CSV + SVG)."""
+attention CSV + SVG). The trainer, evaluation and the fork helper are
+imported where they are used, so `wtal localize` loads none of them."""
 
 import os
 
 import numpy as np
 
-from . import basemodel, consensus, evaluation, localization, parallel
-from .consensus import STREAMS
+from . import basemodel, localization
+from .formats import STREAMS
 from .numkit import fuse_attention
 
 
@@ -34,6 +35,7 @@ def run_experiment(dataset, sections, seed):
     config.resolved_config returns. Returns (RefinementResult, reports):
     reports[n][mode] is the EvalReport that `wtal localize --mode` and
     `wtal eval` give from the iteration-n checkpoints."""
+    from . import consensus, evaluation
     result = consensus.run_refinement(dataset.train, sections["model"],
                                       sections["loss"],
                                       sections["refinement"], seed)
@@ -373,6 +375,7 @@ def write_plot_bundle(out_dir, models, videos, loc_cfg, beta,
     The videos are dealt over the CPUs in this process's affinity mask by
     ``parallel.fork_map``; no file and no error depends on their number.
     """
+    from . import parallel
     os.makedirs(out_dir, exist_ok=True)
 
     def plot(video):

@@ -1241,6 +1241,31 @@ class TestEvalLoadsNoNumpy:
                 (tmp_path / f"numeric.{ext}").read_bytes()
 
 
+# `python -m wtal.cli ARGS`, which then reports on stderr which of the
+# trainer's modules were imported
+RUN_CLI_TRAINER = """import runpy, sys
+try:
+    runpy.run_module("wtal.cli", run_name="__main__", alter_sys=True)
+finally:
+    print([m for m in ("wtal.consensus", "wtal.losses", "wtal.parallel")
+           if m in sys.modules], file=sys.stderr)
+"""
+
+
+class TestLocalizeLoadsNoTrainer:
+    def test_localize(self, workspace, proposals, tmp_path,
+                      python_with_src):
+        out = tmp_path / "proposals.json"
+        run = workspace["run"]
+        result = python_with_src(
+            "-c", RUN_CLI_TRAINER, "localize",
+            "--checkpoint-rgb", str(run / "iter1_rgb.ckpt"),
+            "--checkpoint-flow", str(run / "iter1_flow.ckpt"),
+            "--dataset", str(workspace["data"]), "--out", str(out))
+        assert (result.returncode, result.stderr) == (0, "[]\n")
+        assert out.read_bytes() == proposals.read_bytes()
+
+
 @pytest.fixture
 def mallopt_calls(monkeypatch):
     """The (param, value) of each mallopt call made through ctypes.CDLL,

@@ -13,6 +13,21 @@ from wtal.localization import (extract_segments, localize, oic_score,
 from wtal.numkit import fuse_attention
 
 
+def two_branch_upsample(sequence, factor):
+    """The upsample_linear that branched on the input's rank, kept as its
+    oracle."""
+    t = sequence.shape[0]
+    j = np.arange(t * factor)
+    p = np.clip((j + 0.5) / factor - 0.5, 0.0, t - 1.0)
+    i0 = np.floor(p).astype(int)
+    i1 = np.minimum(i0 + 1, t - 1)
+    frac = p - i0
+    if sequence.ndim == 1:
+        return (1.0 - frac) * sequence[i0] + frac * sequence[i1]
+    return ((1.0 - frac)[:, None] * sequence[i0]
+            + frac[:, None] * sequence[i1])
+
+
 class TestUpsampleLinear:
     def test_factor_one_identity(self):
         a = np.array([0.1, 0.7, 0.3])
@@ -41,14 +56,21 @@ class TestUpsampleLinear:
             assert out.min() >= a.min() - 1e-12
             assert out.max() <= a.max() + 1e-12
 
-    def test_matrix_per_column(self):
-        rng = np.random.default_rng(13)
-        m = rng.uniform(size=(5, 3))
-        out = upsample_linear(m, 4)
-        assert out.shape == (20, 3)
-        for c in range(3):
-            np.testing.assert_allclose(out[:, c],
-                                       upsample_linear(m[:, c], 4))
+    @given(st.integers(min_value=1, max_value=50),
+           st.integers(min_value=1, max_value=9),
+           st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_per_column(self, t, factor, k, seed):
+        m = np.random.default_rng(seed).normal(scale=4.0, size=(t, k))
+        out = upsample_linear(m, factor)
+        assert out.shape == (t * factor, k)
+        assert out.tobytes() == two_branch_upsample(m, factor).tobytes()
+        for c in range(k):
+            column = upsample_linear(m[:, c], factor)
+            assert column.tobytes() == out[:, c].tobytes()
+            assert column.tobytes() == \
+                two_branch_upsample(m[:, c], factor).tobytes()
 
 
 class TestSelectCategories:

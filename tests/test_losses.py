@@ -13,6 +13,22 @@ from wtal.losses import (attention_norm_loss, classification_loss,
                          total_loss)
 
 
+def scatter_add_attention_norm_loss(attention, s):
+    """The attention_norm_loss that built its gradient with np.add.at,
+    kept as its oracle."""
+    t = attention.shape[0]
+    l = max(1, t // int(s))
+    ascending = np.argsort(attention, kind="stable")
+    bottom = ascending[:l]
+    descending = np.argsort(-attention, kind="stable")
+    top = descending[:l]
+    value = float(attention[bottom].mean() - attention[top].mean())
+    grad = np.zeros(t)
+    np.add.at(grad, bottom, 1.0 / l)
+    np.add.at(grad, top, -1.0 / l)
+    return value, grad
+
+
 class TestClassificationLoss:
     def test_perfect_prediction(self):
         assert classification_loss(np.array([1.0, 0.0]),
@@ -113,6 +129,20 @@ class TestAttentionNormLoss:
         rng = np.random.default_rng(len(values))
         shuffled, _ = attention_norm_loss(rng.permutation(a), s)
         assert abs(base - shuffled) < 1e-12
+
+    # few distinct values, so ties are common; s 1 (or T 1) gives 2l > T,
+    # where an index is in both the top and the bottom set
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                              st.floats(min_value=0.0, max_value=1.0)),
+                    min_size=1, max_size=40),
+           st.integers(min_value=1, max_value=10))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scatter_add_oracle(self, values, s):
+        a = np.array(values)
+        value, grad = attention_norm_loss(a, s)
+        expected_value, expected_grad = scatter_add_attention_norm_loss(a, s)
+        assert value == expected_value
+        assert grad.tobytes() == expected_grad.tobytes()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_finite_difference_away_from_ties(self, seed):

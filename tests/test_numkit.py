@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradcheck import grad_check
 from wtal import numkit
+
+
+def masked_sigmoid(x):
+    """The two-branch sigmoid that numkit.sigmoid replaced, kept as its
+    oracle: each sign of x through its own boolean mask."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 class TestTemporalConv:
@@ -78,6 +92,22 @@ class TestNonlinearities:
     def test_sigmoid_extreme_inputs_no_overflow(self):
         s = numkit.sigmoid(np.array([-1000.0, 1000.0]))
         assert np.all(np.isfinite(s))
+
+    # |x| up to 800 reaches exp's underflow to denormals (x below about
+    # -708) and to zero (below about -745)
+    @given(hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=12),
+        elements=st.one_of(
+            st.floats(min_value=-800.0, max_value=800.0),
+            st.floats(min_value=-750.0, max_value=-700.0),
+            st.sampled_from([0.0, -0.0, np.inf, -np.inf]))))
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid_bits_match_masked_form(self, x):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            s = numkit.sigmoid(x)
+        expected = masked_sigmoid(x)
+        assert s.dtype == expected.dtype and s.shape == x.shape
+        assert s.tobytes() == expected.tobytes()
 
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(numkit.softmax(np.zeros(2)), [0.5, 0.5])
