@@ -77,11 +77,11 @@ def cmd_gen_data(args):
     from . import synthdata
     given = {field: getattr(args, field) for _, field, _ in GEN_DATA_FLAGS
              if hasattr(args, field)}
-    dataset = synthdata.generate(synthdata.GeneratorConfig(**given))
-    synthdata.save(dataset, args.out)
-    n_gt = sum(len(v.gt_segments) for v in dataset.all_videos())
-    print(f"wrote {len(dataset.train)} train / {len(dataset.test)} test "
-          f"videos, {dataset.num_classes} classes, "
+    saved = synthdata.save(
+        synthdata.generate(synthdata.GeneratorConfig(**given)), args.out)
+    n_gt = sum(len(v.gt_segments) for v in saved.all_videos())
+    print(f"wrote {len(saved.train)} train / {len(saved.test)} test "
+          f"videos, {saved.num_classes} classes, "
           f"{n_gt} ground-truth segments -> {args.out}")
     return 0
 
@@ -127,13 +127,14 @@ def cmd_train(args):
 
 
 def _load_inference_inputs(args):
-    """Config sections, dataset, both stream models and the videos of
-    the chosen split, for localize and plot; only that split's features
-    are read."""
-    from . import basemodel, synthdata
+    """Config sections, the checked manifest, both stream models and the
+    manifest entries of the chosen split, for localize and plot. No
+    feature file is read here: each video's features are read
+    (synthdata.read_video) when that video is reached."""
+    from . import basemodel
     config = load_run_config(args.config)
-    dataset = synthdata.load(args.dataset, split=args.split)
-    sections = resolved_config(config, dataset, args.config)
+    manifest = formats.read_manifest(args.dataset)
+    sections = resolved_config(config, manifest, args.config)
     models = {}
     for stream in formats.STREAMS:
         path = getattr(args, f"checkpoint_{stream}")
@@ -142,22 +143,22 @@ def _load_inference_inputs(args):
             raise DataError(f"{path}: checkpoint modality is "
                             f"{shown(model.modality, repr)}, expected "
                             f"{stream!r}")
-        if (model.config.feature_dim != dataset.feature_dim
-                or model.config.num_classes != dataset.num_classes):
+        if (model.config.feature_dim != manifest.feature_dim
+                or model.config.num_classes != manifest.num_classes):
             raise DataError(f"{path}: checkpoint shape does not match "
                             "the dataset")
         models[stream] = model
-    return sections, dataset, models, getattr(dataset, args.split)
+    return sections, manifest, models, getattr(manifest, args.split)
 
 
 @_computes
 def cmd_localize(args):
-    from . import localization, pipeline
-    sections, dataset, models, videos = _load_inference_inputs(args)
+    from . import localization, pipeline, synthdata
+    sections, manifest, models, entries = _load_inference_inputs(args)
     proposals = pipeline.localize_dataset(
-        models, videos, sections["localization"],
+        models, map(synthdata.read_video, entries), sections["localization"],
         sections["refinement"].beta, mode=args.mode)
-    localization.save_proposals(args.out, proposals, dataset.class_names)
+    localization.save_proposals(args.out, proposals, manifest.class_names)
     print(f"wrote {len(proposals)} proposals -> {args.out}")
     return 0
 
@@ -196,21 +197,21 @@ def cmd_eval(args):
 def cmd_plot(args):
     from . import pipeline
     from .consensus import load_pseudo_gt
-    sections, _, models, videos = _load_inference_inputs(args)
+    sections, _, models, entries = _load_inference_inputs(args)
     pseudo = {}
     if args.pseudo_gt_dir:
-        for video in videos:
-            path = os.path.join(args.pseudo_gt_dir, f"{video.id}.csv")
+        for entry in entries:
+            path = os.path.join(args.pseudo_gt_dir, f"{entry.id}.csv")
             if os.path.exists(path):
-                pseudo[video.id] = load_pseudo_gt(path, video.num_snippets)
+                pseudo[entry.id] = load_pseudo_gt(path, entry.num_snippets)
         if not pseudo:
             raise DataError(f"{args.pseudo_gt_dir}: no pseudo-GT CSV for "
                             f"any {args.split} video")
-    pipeline.write_plot_bundle(args.out, models, videos,
+    pipeline.write_plot_bundle(args.out, models, entries,
                                sections["localization"],
                                sections["refinement"].beta,
                                pseudo_by_video=pseudo)
-    print(f"wrote plot data for {len(videos)} videos -> {args.out}")
+    print(f"wrote plot data for {len(entries)} videos -> {args.out}")
     return 0
 
 

@@ -183,6 +183,12 @@ class Dataset:
     def all_videos(self):
         return list(self.train) + list(self.test)
 
+    def split_videos(self):
+        """(split, video) of every train video, then every test video."""
+        for split in ("train", "test"):
+            for video in getattr(self, split):
+                yield split, video
+
 
 @dataclass
 class ManifestEntry:
@@ -191,6 +197,7 @@ class ManifestEntry:
     id: str
     label: list                       # C floats, nonnegative, sum to 1
     num_snippets: int
+    feature_dim: int                  # the manifest's D
     rgb_path: str
     flow_path: str
     gt_segments: list | None
@@ -279,7 +286,7 @@ def read_manifest(directory):
                     raise DataError(f"{where}: field 'gt_segments' holds "
                                     f"invalid segment {shown(list(seg))}")
         splits[split].append(ManifestEntry(
-            id=video_id, label=label, num_snippets=t,
+            id=video_id, label=label, num_snippets=t, feature_dim=d,
             rgb_path=os.path.join(directory, entry["rgb_file"]),
             flow_path=os.path.join(directory, entry["flow_file"]),
             gt_segments=gt, where=where))
@@ -296,16 +303,15 @@ def write_manifest(directory, dataset):
     """Write manifest.json of dataset, whose videos have an id,
     num_snippets, label and gt_segments (or None), into directory."""
     videos = []
-    for split in ("train", "test"):
-        for v in getattr(dataset, split):
-            rgb_file, flow_file = feature_files(v.id)
-            entry = {"id": v.id, "split": split, "T": int(v.num_snippets),
-                     "label": [float(x) for x in v.label],
-                     "rgb_file": rgb_file, "flow_file": flow_file}
-            if v.gt_segments is not None:
-                entry["gt_segments"] = [[int(s), int(e), int(c)]
-                                        for s, e, c in v.gt_segments]
-            videos.append(entry)
+    for split, v in dataset.split_videos():
+        rgb_file, flow_file = feature_files(v.id)
+        entry = {"id": v.id, "split": split, "T": int(v.num_snippets),
+                 "label": [float(x) for x in v.label],
+                 "rgb_file": rgb_file, "flow_file": flow_file}
+        if v.gt_segments is not None:
+            entry["gt_segments"] = [[int(s), int(e), int(c)]
+                                    for s, e, c in v.gt_segments]
+        videos.append(entry)
     write_json(os.path.join(directory, "manifest.json"),
                {"C": dataset.num_classes, "D": dataset.feature_dim,
                 "class_names": dataset.class_names, "videos": videos})

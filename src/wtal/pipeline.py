@@ -366,22 +366,26 @@ def _plot_video(out_dir, models, video, loc_cfg, beta, pseudo):
                         video, attention, proposals)
 
 
-def write_plot_bundle(out_dir, models, videos, loc_cfg, beta,
+def write_plot_bundle(out_dir, models, entries, loc_cfg, beta,
                       pseudo_by_video):
-    """Write each video's attention CSV and SVG into ``out_dir``, with a
-    pseudo_gt column for each video that ``pseudo_by_video`` maps to its
-    pseudo GT.
+    """Write the attention CSV and SVG of the video of each manifest entry
+    (formats.ManifestEntry) into ``out_dir``, with a pseudo_gt column for
+    each video that ``pseudo_by_video`` maps to its pseudo GT.
 
-    The videos are dealt over the CPUs in this process's affinity mask by
-    ``parallel.fork_map``; no file and no error depends on their number.
+    The entries are dealt over the CPUs in this process's affinity mask
+    by ``parallel.fork_map``; the process that plots a video reads its
+    features (synthdata.read_video) and drops them after, so each holds
+    one video's features at a time. No file and no error depends on the
+    number of processes; a failing video may leave the files of other
+    videos behind.
     """
-    from . import parallel
+    from . import parallel, synthdata
     os.makedirs(out_dir, exist_ok=True)
 
-    def plot(video):
-        _plot_video(out_dir, models, video, loc_cfg, beta,
-                    pseudo_by_video.get(video.id))
+    def plot(entry):
+        _plot_video(out_dir, models, synthdata.read_video(entry), loc_cfg,
+                    beta, pseudo_by_video.get(entry.id))
 
     parallel.fork_map(
-        plot, videos, parallel.cpus(),
+        plot, entries, parallel.cpus(),
         lambda first: f"{out_dir}: the plot worker for video index {first}")

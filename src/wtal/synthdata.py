@@ -13,10 +13,19 @@ purpose:
 
 Ground-truth segments use 1-based inclusive snippet indices; categories
 are 1-based.
+
+generate makes a dataset's videos only when they are asked for, and
+save writes each video's feature files as it is made, so that
+save(generate(config), directory) holds one video's features at a time.
+read_video reads the features of one manifest entry, and load those of
+a split.
 """
 
+import copy
+import functools
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -127,15 +136,44 @@ def _signal_directions(rng, num_classes, dim):
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
+class GeneratedDataset(Dataset):
+    """A dataset whose videos are made when they are asked for:
+    split_videos() makes them one at a time, and train, test and
+    all_videos() make them all, once, and hold them. Here train and test
+    are read-only properties, not the fields of a Dataset."""
+
+    def __init__(self, class_names, feature_dim, split_videos):
+        self.class_names = class_names
+        self.feature_dim = feature_dim
+        self.split_videos = split_videos
+
+    @functools.cached_property
+    def _held(self):
+        held = {"train": [], "test": []}
+        for split, video in self.split_videos():
+            held[split].append(video)
+        return held
+
+    @property
+    def train(self):
+        return self._held["train"]
+
+    @property
+    def test(self):
+        return self._held["test"]
+
+
 def generate(config):
-    """Build a dataset deterministically from the config (seed included)."""
+    """The dataset of config, deterministic in its seed: one rng draws the
+    rgb and the flow signal directions here, then every train video and
+    every test video as GeneratedDataset asks for them."""
     rng = np.random.default_rng(config.seed)
     c, d = config.num_classes, config.feature_dim
     rgb_dirs = _signal_directions(rng, c, d)
     flow_dirs = _signal_directions(rng, c, d)
     class_names = [f"action_{i + 1}" for i in range(c)]
 
-    def make_video(vid):
+    def make_video(rng, vid):
         t = int(rng.integers(config.t_range[0], config.t_range[1] + 1))
         n_actions = int(rng.integers(config.actions_per_video[0],
                                      config.actions_per_video[1] + 1))
@@ -183,10 +221,16 @@ def generate(config):
                            gt_segments=sorted(segments),
                            confounders=confounders, suppressed=suppressed)
 
-    train = [make_video(f"train_{i:04d}") for i in range(config.num_train)]
-    test = [make_video(f"test_{i:04d}") for i in range(config.num_test)]
-    return Dataset(class_names=class_names, feature_dim=d,
-                   train=train, test=test)
+    def split_videos():
+        # from a copy of the rng as it stands after the directions, so
+        # that every call makes the same videos
+        videos_rng = copy.deepcopy(rng)
+        for split, count in (("train", config.num_train),
+                             ("test", config.num_test)):
+            for i in range(count):
+                yield split, make_video(videos_rng, f"{split}_{i:04d}")
+
+    return GeneratedDataset(class_names, d, split_videos)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +238,23 @@ def generate(config):
 # + raw little-endian float32 feature files
 
 def save(dataset, directory):
+    """Write dataset into directory: each video's two feature files as
+    dataset.split_videos() gives the video, then manifest.json. Of a
+    video only its manifest fields (id, T, label, GT) are kept, so a
+    dataset from generate is never held whole. Returns what was written,
+    as a Dataset of videos that have only those fields."""
     os.makedirs(directory, exist_ok=True)
-    for v in dataset.all_videos():
+    saved = Dataset(class_names=dataset.class_names,
+                    feature_dim=dataset.feature_dim, train=[], test=[])
+    for split, v in dataset.split_videos():
         for name, arr in zip(feature_files(v.id), (v.rgb, v.flow)):
             with open(os.path.join(directory, name), "wb") as fh:
                 fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    write_manifest(directory, dataset)
+        getattr(saved, split).append(SimpleNamespace(
+            id=v.id, num_snippets=v.num_snippets, label=v.label,
+            gt_segments=v.gt_segments))
+    write_manifest(directory, saved)
+    return saved
 
 
 def _read_features(where, path, t, d):
@@ -227,23 +282,27 @@ def _read_features(where, path, t, d):
     return values.reshape(t, d)
 
 
+def read_video(entry):
+    """The video of a formats.ManifestEntry, its features read and checked
+    (_read_features)."""
+    rgb, flow = (_read_features(entry.where, path, entry.num_snippets,
+                                entry.feature_dim)
+                 for path in (entry.rgb_path, entry.flow_path))
+    return VideoSample(id=entry.id, label=np.array(entry.label),
+                       rgb=rgb, flow=flow, gt_segments=entry.gt_segments)
+
+
 def load(directory, split=None):
     """The dataset in directory with the features of the videos of split
     ("train" or "test"), or of both splits when split is None; the other
     split is left empty and none of its feature files is opened."""
     manifest = read_manifest(directory)
-    d = manifest.feature_dim
-
-    def read(entry):
-        rgb, flow = (_read_features(entry.where, path, entry.num_snippets, d)
-                     for path in (entry.rgb_path, entry.flow_path))
-        return VideoSample(id=entry.id, label=np.array(entry.label),
-                           rgb=rgb, flow=flow, gt_segments=entry.gt_segments)
 
     def videos(name):
         if split not in (None, name):
             return []
-        return [read(entry) for entry in getattr(manifest, name)]
+        return [read_video(entry) for entry in getattr(manifest, name)]
 
-    return Dataset(class_names=manifest.class_names, feature_dim=d,
+    return Dataset(class_names=manifest.class_names,
+                   feature_dim=manifest.feature_dim,
                    train=videos("train"), test=videos("test"))

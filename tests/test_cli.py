@@ -137,19 +137,21 @@ EDITS = st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete"]),
                  min_size=1, max_size=3)
 
 
-def poisoned_copy(workspace, tmp_path, split, value):
-    """A copy of the workspace dataset whose first video of ``split`` has
-    ``value`` at snippet 2, dimension 3 of its rgb features; returns the
-    copy's directory and the poisoned file's name."""
+def poisoned_copy(workspace, tmp_path, split, value, indices=(0,)):
+    """A copy of the workspace dataset whose videos ``indices`` of
+    ``split`` (by default its first) have ``value`` at snippet 2,
+    dimension 3 of their rgb features; returns the copy's directory and
+    the name of the first poisoned file."""
     corrupt = tmp_path / "corrupt"
     synthdata.save(synthdata.load(workspace["data"]), corrupt)
     manifest = json.loads((corrupt / "manifest.json").read_text())
-    entry = next(v for v in manifest["videos"] if v["split"] == split)
-    path = corrupt / entry["rgb_file"]
-    values = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
-    values[manifest["D"] + 2] = value
-    path.write_bytes(values.tobytes())
-    return corrupt, entry["rgb_file"]
+    entries = [v for v in manifest["videos"] if v["split"] == split]
+    for index in indices:
+        path = corrupt / entries[index]["rgb_file"]
+        values = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
+        values[manifest["D"] + 2] = value
+        path.write_bytes(values.tobytes())
+    return corrupt, entries[indices[0]]["rgb_file"]
 
 
 # small numbers are drawn often, so that some configs are valid
@@ -1100,6 +1102,38 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert str(pdir) in err and "test video" in err
+
+
+class TestStreamedFeatureErrors:
+    """localize and plot read each video's features when they reach it;
+    the error they report is still that of the first bad file in manifest
+    order."""
+
+    # with 2 processes plot's own process takes test videos 0 and 2, and
+    # its child 1 and 3: one poisoned video in each share
+    @pytest.mark.parametrize("command", ["localize", "plot"])
+    def test_first_bad_file_in_manifest_order(self, workspace, tmp_path,
+                                              capsys, set_cpus, command,
+                                              assert_no_child_left):
+        corrupt, feature_file = poisoned_copy(workspace, tmp_path, "test",
+                                              np.nan, indices=(1, 2))
+        run_dir = workspace["run"]
+        out = tmp_path / "out"
+        set_cpus(2)
+        code = cli.main([command,
+                         "--checkpoint-rgb", str(run_dir / "iter1_rgb.ckpt"),
+                         "--checkpoint-flow",
+                         str(run_dir / "iter1_flow.ckpt"),
+                         "--dataset", str(corrupt), "--out", str(out)])
+        assert_no_child_left()
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"error: {corrupt / 'manifest.json'}: video test_0001: "
+            f"{corrupt / feature_file}: value nan at snippet 2, dimension 3 "
+            "is not finite\n")
+        if command == "localize":
+            assert not out.exists()
 
 
 def dataset_copy(workspace, tmp_path, split, defect):

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wtal import (basemodel, cli, consensus, localization, parallel,
-                  pipeline, synthdata)
+from wtal import (basemodel, cli, consensus, formats, localization,
+                  parallel, pipeline, synthdata)
 from wtal.config import (LocalizationConfig, LossConfig, ModelConfig,
                          RefinementConfig)
 from wtal.formats import ActionProposal, DataError, Dataset
@@ -351,8 +351,9 @@ class TestFormatRepr:
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """A saved tiny dataset, models trained briefly on it and saved as
-    checkpoints, and both kinds of pseudo GT of its train split."""
+    """A saved tiny dataset and its manifest, models trained briefly on
+    it and saved as checkpoints, and both kinds of pseudo GT of its train
+    split."""
     root = tmp_path_factory.mktemp("plot_workers")
     synthdata.save(synthdata.generate(synthdata.GeneratorConfig(
         num_train=5, num_test=5, num_classes=3, feature_dim=8,
@@ -370,8 +371,9 @@ def trained(tmp_path_factory):
     pseudo = {kind: consensus.compute_pseudo_gt(
         models, dataset.train, RefinementConfig(kind=kind))
         for kind in ("hard", "soft")}
-    return {"root": root, "dataset": dataset, "models": models,
-            "pseudo": pseudo, "beta": refine_cfg.beta}
+    return {"root": root, "dataset": dataset,
+            "manifest": formats.read_manifest(root / "data"),
+            "models": models, "pseudo": pseudo, "beta": refine_cfg.beta}
 
 
 def plot_argv(trained, out):
@@ -402,8 +404,9 @@ def reference_plot(out_dir, models, video, loc_cfg, beta):
 
 @pytest.fixture(scope="module")
 def mixed(tmp_path_factory):
-    """A saved data set for the models of ``trained`` whose test videos are
-    long, short, then long again: T 57, 1, 320, 57."""
+    """A saved data set for the models of ``trained``, and its manifest,
+    whose test videos are long, short, then long again: T 57, 1, 320,
+    57."""
     root = tmp_path_factory.mktemp("mixed")
     rng = np.random.default_rng(5)
 
@@ -418,7 +421,8 @@ def mixed(tmp_path_factory):
         train=[video("train0", 20)],
         test=[video(f"m{i}-{t}", t) for i, t in enumerate((57, 1, 320, 57))]),
         root / "data")
-    return {"root": root, "dataset": synthdata.load(root / "data")}
+    return {"root": root, "dataset": synthdata.load(root / "data"),
+            "manifest": formats.read_manifest(root / "data")}
 
 
 
@@ -427,8 +431,8 @@ class TestPlotWorkers:
     @pytest.mark.parametrize("case", ["gt", "hard", "soft", "single"])
     def test_files_do_not_depend_on_workers(self, trained, tmp_path, case,
                                             set_cpus, assert_no_child_left):
-        dataset = trained["dataset"]
-        videos = dataset.train if case in ("hard", "soft") else dataset.test
+        manifest = trained["manifest"]
+        videos = manifest.train if case in ("hard", "soft") else manifest.test
         videos = videos[:1] if case == "single" else videos
         pseudo = trained["pseudo"].get(case, {})
         files = {}
@@ -459,6 +463,7 @@ class TestPlotWorkers:
         and by ``wtal plot``: every file is the reference writers'."""
         models, beta = trained["models"], trained["beta"]
         videos = mixed["dataset"].test
+        entries = mixed["manifest"].test
         all_cpus = parallel.cpus()
         for factor in (8, 1, 3):
             loc_cfg = LocalizationConfig(upsample_factor=factor)
@@ -470,7 +475,7 @@ class TestPlotWorkers:
             for workers in (1, 2, 3):
                 set_cpus(workers)
                 out = tmp_path / f"bundle-{factor}-{workers}"
-                pipeline.write_plot_bundle(out, models, videos, loc_cfg,
+                pipeline.write_plot_bundle(out, models, entries, loc_cfg,
                                            beta, pseudo_by_video={})
                 assert_no_child_left()
                 assert files_of(out) == expected, (factor, workers)
@@ -530,7 +535,7 @@ class TestPlotWorkers:
         out = tmp_path / "plots"
         with pytest.raises(DataError) as info:
             pipeline.write_plot_bundle(out, trained["models"],
-                                       trained["dataset"].test,
+                                       trained["manifest"].test,
                                        LocalizationConfig(), trained["beta"],
                                        pseudo_by_video={})
         assert_no_child_left()

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtal import formats, synthdata
+from wtal import basemodel, cli, formats, synthdata
+from wtal.config import ModelConfig
 from wtal.formats import DataError
 from wtal.synthdata import GeneratorConfig
 
@@ -365,6 +366,66 @@ class TestFeatureWidth:
             return sum(2 * 4 * v.num_snippets * 32 for v in videos)
         assert generate_peak < 1.25 * stored(dataset.all_videos())
         assert load_peak < 1.25 * stored(loaded.test)
+
+
+class TestOneVideoHeld:
+    """gen-data's save(generate(...)) and localize hold one video's
+    features at a time: their tracemalloc peak does not grow with the
+    number of videos by as much as one video's features."""
+
+    # the features of one video of config(n). Its videos share one T, as
+    # a video's temporaries grow with its T: from 10 videos of T 160-320
+    # to 80, the longest one's alone raised the peak by 260 KB.
+    ONE_VIDEO = 2 * 4 * 240 * 64
+
+    @staticmethod
+    def config(num_test):
+        return small_config(num_train=1, num_test=num_test, num_classes=5,
+                            feature_dim=64, t_range=(240, 240))
+
+    def test_save_of_generate(self, tmp_path):
+        def run(n):
+            return synthdata.save(synthdata.generate(self.config(n)),
+                                  tmp_path / f"data-{n}")
+        run(2)    # what numpy sets up lazily
+        peaks = [traced_peak(run, n)[1] for n in (10, 80)]
+        assert peaks[1] - peaks[0] < self.ONE_VIDEO, peaks
+
+    def test_localize(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        checkpoints = []
+        for stream in formats.STREAMS:
+            path = tmp_path / f"{stream}.ckpt"
+            basemodel.save_checkpoint(path, basemodel.StreamModel.initialize(
+                ModelConfig(feature_dim=64, num_classes=5), stream, rng),
+                meta={})
+            checkpoints += [f"--checkpoint-{stream}", str(path)]
+
+        def localize(n):
+            data = tmp_path / f"data-{n}"
+            if not data.exists():
+                synthdata.save(synthdata.generate(self.config(n)), data)
+            out = tmp_path / f"proposals-{n}.json"
+            _, peak = traced_peak(cli.main, ["localize", *checkpoints,
+                                             "--dataset", str(data),
+                                             "--out", str(out)])
+            names = formats.read_manifest(data).class_names
+
+            def proposals():
+                """What holding the proposals and writing them takes."""
+                start = tracemalloc.get_traced_memory()[0]
+                held = formats.load_proposals(out, names)
+                kept = tracemalloc.get_traced_memory()[0] - start
+                return kept + traced_peak(formats.save_proposals,
+                                          tmp_path / "copy.json", held,
+                                          names)[1]
+            return peak, traced_peak(proposals)[0]
+        localize(10)    # what the first run imports and sets up
+        (small, small_proposals), (large, large_proposals) = (
+            localize(n) for n in (10, 80))
+        capsys.readouterr()
+        assert large - small < (large_proposals - small_proposals
+                                + self.ONE_VIDEO)
 
 
 class TestRepeatedKeys:
